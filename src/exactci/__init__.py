@@ -15,7 +15,7 @@ from .errors import (
 )
 from .hypergeom import HyperGeomSpec, ci_count, pmf, tail_ge, tail_le
 from .methods import (
-    METHOD_IDS,
+    METHODS,
     MethodResult,
     ci_bonferroni,
     ci_brute_force,
@@ -25,7 +25,7 @@ from .methods import (
     compute_ci,
     frontier_scan,
 )
-from .randtest import PValueMode, TestCounter, mc_p, null_dist, p_one_sided, p_two_sided
+from .randtest import PValueMode, mc_p, null_dist, p_one_sided, p_two_sided
 from .tables import (
     CONTROL_SIDE_MOVES,
     MOVES,
@@ -58,9 +58,8 @@ __all__ = [
     "p_two_sided",
     "mc_p",
     "PValueMode",
-    "TestCounter",
     "MethodResult",
-    "METHOD_IDS",
+    "METHODS",
     "compute_ci",
     "ci_bonferroni",
     "ci_margin_inversion",

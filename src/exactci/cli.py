@@ -17,13 +17,14 @@ import csv
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 import click
 
 from .coverage import exact_coverage_sweep
 from .errors import ExactCIError, ScaleGuard
-from .methods import MethodResult, compute_ci
+from .methods import METHODS, MethodResult, compute_ci
 from .randtest import PValueMode, p_two_sided
 from .tables import ObservedTable, enumerate_compatible
 
@@ -32,14 +33,7 @@ EXIT_SCALE = 3
 EXIT_IO = 4
 EXIT_COVERAGE = 5
 
-METHOD_CHOICES = {
-    "bonferroni": "bonferroni",
-    "margin-inversion": "margin_inversion",
-    "two-sided": "two_sided_frontier",
-    "one-sided-lower": "one_sided_lower",
-    "one-sided-upper": "one_sided_upper",
-    "brute-force": "brute_force",
-}
+METHOD_BY_NAME = {name: method for method, (name, _) in METHODS.items()}
 
 
 def parse_alpha(text: str) -> Fraction:
@@ -67,20 +61,7 @@ def result_to_dict(result: MethodResult) -> dict:
         "ci_ntau": [result.ci_ntau[0], result.ci_ntau[1]],
         "tests": result.tests,
         "mode": result.mode,
-        "elapsed_ms": result.elapsed_ms,
     }
-
-
-def result_from_dict(d: dict) -> MethodResult:
-    return MethodResult(
-        method=d["method"],
-        table=ObservedTable(*d["table"]),
-        alpha=Fraction(d["alpha"]),
-        ci_ntau=(d["ci_ntau"][0], d["ci_ntau"][1]),
-        tests=d["tests"],
-        mode=d["mode"],
-        elapsed_ms=d["elapsed_ms"],
-    )
 
 
 def _render_text(result: MethodResult, scale: str) -> str:
@@ -92,7 +73,7 @@ def _render_text(result: MethodResult, scale: str) -> str:
         lines.append(f"ci_tau:  [{result.ci_tau[0]}, {result.ci_tau[1]}]")
     if scale in ("ntau", "both"):
         lines.append(f"ci_ntau: [{result.ci_ntau[0]}, {result.ci_ntau[1]}]")
-    lines.append(f"tests:  {result.tests}   elapsed: {result.elapsed_ms:.1f} ms")
+    lines.append(f"tests:  {result.tests}")
     return "\n".join(lines)
 
 
@@ -120,12 +101,6 @@ _alpha_opt = click.option("--alpha", "alpha_str", default="0.05", show_default=T
 _mode_opt = click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact", show_default=True)
 _reps_opt = click.option("--reps", type=int, default=10_000, show_default=True)
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
-_wang_opt = click.option(
-    "--wang",
-    is_flag=True,
-    expose_value=False,
-    help="no effect; kept for old scripts (shrunk hypergeometric intervals are the default)",
-)
 
 
 def _pvalue_mode(mode: str, reps: int, seed: int) -> PValueMode:
@@ -135,20 +110,19 @@ def _pvalue_mode(mode: str, reps: int, seed: int) -> PValueMode:
 @main.command()
 @_table_opt
 @_alpha_opt
-@click.option("--method", type=click.Choice(sorted(METHOD_CHOICES)), required=True)
+@click.option("--method", type=click.Choice(sorted(METHOD_BY_NAME)), required=True)
 @_mode_opt
 @_reps_opt
 @_seed_opt
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
 @click.option("--scale", type=click.Choice(["tau", "ntau", "both"]), default="both", show_default=True)
-@_wang_opt
 def compute(table_str, alpha_str, method, mode, reps, seed, fmt, scale) -> None:
     """Confidence interval for a single observed table."""
 
     def run() -> MethodResult:
         nobs = parse_table(table_str)
         alpha = parse_alpha(alpha_str)
-        return compute_ci(METHOD_CHOICES[method], nobs, alpha, _pvalue_mode(mode, reps, seed))
+        return compute_ci(METHOD_BY_NAME[method], nobs, alpha, _pvalue_mode(mode, reps, seed))
 
     result = _run_guarded(run)
     if fmt == "json":
@@ -165,7 +139,7 @@ def compute(table_str, alpha_str, method, mode, reps, seed, fmt, scale) -> None:
 
 _CSV_HEADER = [
     "n11", "n10", "n01", "n00", "alpha", "method",
-    "ci_tau_lo", "ci_tau_hi", "ci_ntau_lo", "ci_ntau_hi", "tests", "mode", "elapsed_ms",
+    "ci_tau_lo", "ci_tau_hi", "ci_ntau_lo", "ci_ntau_hi", "tests", "mode",
 ]
 
 
@@ -175,7 +149,7 @@ def _csv_row(result: MethodResult) -> list:
         t.n11, t.n10, t.n01, t.n00, str(result.alpha), result.method,
         str(result.ci_tau[0]), str(result.ci_tau[1]),
         result.ci_ntau[0], result.ci_ntau[1],
-        result.tests, result.mode, f"{result.elapsed_ms:.3f}",
+        result.tests, result.mode,
     ]
 
 
@@ -186,7 +160,6 @@ def _csv_row(result: MethodResult) -> list:
 @_mode_opt
 @_reps_opt
 @_seed_opt
-@_wang_opt
 def batch(input_file, output_file, fmt, mode, reps, seed) -> None:
     """Run methods for each row of a CSV file (header: n11,n10,n01,n00,alpha,method).
 
@@ -208,7 +181,7 @@ def batch(input_file, output_file, fmt, mode, reps, seed) -> None:
             try:
                 nobs = ObservedTable(*(int(row[k]) for k in ("n11", "n10", "n01", "n00")))
                 alpha = parse_alpha(row["alpha"])
-                method = METHOD_CHOICES.get(row["method"].strip())
+                method = METHOD_BY_NAME.get(row["method"].strip())
                 if method is None:
                     raise ValueError(f"unknown method {row['method']!r}")
                 results.append(compute_ci(method, nobs, alpha, _pvalue_mode(mode, reps, seed)))
@@ -269,8 +242,7 @@ def enumerate_cmd(table_str, alpha_str, fmt) -> None:
 @click.option("--n", "n", type=int, required=True)
 @click.option("--m", "m", type=int, required=True)
 @_alpha_opt
-@click.option("--method", type=click.Choice(sorted(METHOD_CHOICES)), default="brute-force", show_default=True)
-@_wang_opt
+@click.option("--method", type=click.Choice(sorted(METHOD_BY_NAME)), default="brute-force", show_default=True)
 def coverage(n, m, alpha_str, method) -> None:
     """Exact coverage over every true potential table for a design (n, m).
 
@@ -279,7 +251,7 @@ def coverage(n, m, alpha_str, method) -> None:
 
     def run():
         alpha = parse_alpha(alpha_str)
-        method_id = METHOD_CHOICES[method]
+        method_id = METHOD_BY_NAME[method]
 
         def ci_fn(nobs: ObservedTable) -> tuple[int, int]:
             return compute_ci(method_id, nobs, alpha).ci_ntau
@@ -307,7 +279,7 @@ def coverage(n, m, alpha_str, method) -> None:
     "--method",
     "methods",
     multiple=True,
-    type=click.Choice(sorted(METHOD_CHOICES)),
+    type=click.Choice(sorted(METHOD_BY_NAME)),
     default=("two-sided", "brute-force"),
     show_default=True,
 )
@@ -324,16 +296,18 @@ def bench(table_strs, methods, alpha_str) -> None:
     for nobs in tables:
         per_side_bound = (2 * nobs.n + 1) * (nobs.n + 1)
         for name in methods:
+            start = time.perf_counter()
             result = _run_guarded(
-                lambda name=name, nobs=nobs: compute_ci(METHOD_CHOICES[name], nobs, alpha)
+                lambda name=name, nobs=nobs: compute_ci(METHOD_BY_NAME[name], nobs, alpha)
             )
+            ms = (time.perf_counter() - start) * 1000.0
             frontier = result.method in ("two_sided_frontier", "one_sided_lower", "one_sided_upper")
             sides = 2 if result.method == "two_sided_frontier" else 1
             bound = sides * per_side_bound if frontier else ""
             ci = f"[{result.ci_ntau[0]},{result.ci_ntau[1]}]"
             click.echo(
                 f"{str(nobs.as_tuple()):<16} {result.method:<16} {ci:<12} "
-                f"{result.tests:>7} {str(bound):>7} {result.elapsed_ms:>9.1f}"
+                f"{result.tests:>7} {str(bound):>7} {ms:>9.1f}"
             )
 
 

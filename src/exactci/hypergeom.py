@@ -18,7 +18,7 @@ constructions share one set of endpoint tables per (total, sample, alpha):
   "Exact optimal confidence intervals for hypergeometric parameters", JASA;
   they reproduce the published Bonferroni and margin-inversion intervals of
   the six example tables exactly, and the count-based effect methods use
-  them by default.
+  them.
 """
 
 from __future__ import annotations

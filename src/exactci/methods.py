@@ -21,27 +21,26 @@ count zero).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal
+from typing import Callable, Literal
 
-from .errors import EmptyAcceptance, InvalidLevel
-from .hypergeom import ci_count
-from .randtest import PValueMode, TestCounter, make_p_evaluator
+from .errors import EmptyAcceptance
+from .hypergeom import _check_alpha, ci_count
+from .randtest import PValueMode, make_p_evaluator
 from .tables import (
     ObservedTable,
     PotentialTable,
     attainable_ntau_range,
     is_compatible,
     iter_cell_decompositions,
-    iter_compatible,
+    iter_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
 )
 
 __all__ = [
     "MethodResult",
     "FrontierScan",
-    "METHOD_IDS",
+    "METHODS",
     "ci_bonferroni",
     "ci_margin_inversion",
     "ci_two_sided_frontier",
@@ -51,19 +50,10 @@ __all__ = [
     "compute_ci",
 ]
 
-METHOD_IDS = (
-    "bonferroni",
-    "margin_inversion",
-    "two_sided_frontier",
-    "one_sided_lower",
-    "one_sided_upper",
-    "brute_force",
-)
-
 
 @dataclass(frozen=True)
 class MethodResult:
-    """A confidence interval for the effect plus run instrumentation."""
+    """A confidence interval for the effect and the tests it took."""
 
     method: str
     table: ObservedTable
@@ -71,7 +61,6 @@ class MethodResult:
     ci_ntau: tuple[int, int]
     tests: int
     mode: str
-    elapsed_ms: float
 
     @property
     def ci_tau(self) -> tuple[Fraction, Fraction]:
@@ -91,13 +80,6 @@ class FrontierScan:
     frontiers: dict[tuple[int, int], int] = field(default_factory=dict)
     accepted_ntau: set[int] = field(default_factory=set)
     tests: int = 0
-
-
-def _check_alpha(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
-    return alpha
 
 
 def frontier_scan(
@@ -122,8 +104,7 @@ def frontier_scan(
     n, m = nobs.n, nobs.m
     if statistic == "two_sided" and m > n - m:
         raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
-    counter = TestCounter()
-    p_eval = make_p_evaluator(nobs, statistic, mode, counter)
+    p_eval = make_p_evaluator(nobs, statistic, mode)
     two_sided = statistic == "two_sided"
     ntau_obs = nobs.tau_hat * n
     floor_nt = math.floor(ntau_obs)  # exact: Fraction floor
@@ -137,6 +118,7 @@ def frontier_scan(
             N10 = carry
             while N10 <= hi:
                 N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
+                out.tests += 1
                 if p_eval(N) >= alpha:
                     frontier = N10
                     break
@@ -149,65 +131,44 @@ def frontier_scan(
                 N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
                 if is_compatible(N, nobs):
                     out.accepted_ntau.add(N10 - N01)
-    out.tests = counter.count
     return out
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, (time.perf_counter() - start) * 1000.0
-
-
-def ci_bonferroni(nobs: ObservedTable, alpha: Fraction, refine: bool = True) -> MethodResult:
+def ci_bonferroni(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Intersect marginal count intervals for the two response totals.
 
-    Each margin gets a level 1 - alpha/2 hypergeometric interval, shrunk by
-    default and equal-tail with `refine=False` (see `hypergeom.ci_count`);
-    the difference interval is clipped to the attainable n*tau range. No
-    randomization tests.
+    Each margin gets a level 1 - alpha/2 shrunk hypergeometric interval (see
+    `hypergeom.ci_count`); the difference interval is clipped to the
+    attainable n*tau range. No randomization tests.
     """
     alpha = _check_alpha(alpha)
-
-    def run() -> tuple[int, int]:
-        n, m = nobs.n, nobs.m
-        t_lo, t_hi = ci_count(n, m, nobs.n11, alpha / 2, refine=refine)
-        c_lo, c_hi = ci_count(n, n - m, nobs.n01, alpha / 2, refine=refine)
-        a_lo, a_hi = attainable_ntau_range(nobs)
-        return (max(t_lo - c_hi, a_lo), min(t_hi - c_lo, a_hi))
-
-    ci, ms = _timed(run)
-    return MethodResult("bonferroni", nobs, alpha, ci, 0, "exact", ms)
+    n, m = nobs.n, nobs.m
+    t_lo, t_hi = ci_count(n, m, nobs.n11, alpha / 2, refine=True)
+    c_lo, c_hi = ci_count(n, n - m, nobs.n01, alpha / 2, refine=True)
+    a_lo, a_hi = attainable_ntau_range(nobs)
+    ci = (max(t_lo - c_hi, a_lo), min(t_hi - c_lo, a_hi))
+    return MethodResult("bonferroni", nobs, alpha, ci, 0, "exact")
 
 
-def ci_margin_inversion(nobs: ObservedTable, alpha: Fraction, refine: bool = True) -> MethodResult:
+def ci_margin_inversion(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Invert tests that depend only on the control-response margin.
 
     The test statistic is a monotone function of the control responders drawn
     into the control arm, so its null distribution depends on the potential
     table only through that margin; acceptance reduces to a level 1 - alpha
-    hypergeometric interval for the margin (shrunk by default, equal-tail
-    with `refine=False`), and the interval endpoints are the extreme effects
-    over compatible tables with an accepted margin.
+    shrunk hypergeometric interval [g_lo, g_hi] for the margin, and the
+    interval is the range of n*tau over compatible tables with an accepted
+    margin. That range is closed form. Each unit's unobserved potential
+    outcome is free, so the (treatment-response, control-response) margin
+    pairs of compatible tables are exactly [n11, n - n10] x [n01, n - n00];
+    n*tau is the first margin minus the second, and [g_lo, g_hi] lies inside
+    the second range. So the ends are n11 - g_hi and n - n10 - g_lo.
     """
     alpha = _check_alpha(alpha)
-
-    def run() -> tuple[int, int]:
-        n, m = nobs.n, nobs.m
-        g_lo, g_hi = ci_count(n, n - m, nobs.n01, alpha, refine=refine)
-        g_lo = max(g_lo, nobs.n01)
-        g_hi = min(g_hi, n - nobs.n00)
-        accepted = [
-            N.ntau for N in iter_compatible(nobs) if g_lo <= N.nplus1 <= g_hi
-        ]
-        if not accepted:
-            raise EmptyAcceptance(
-                f"no compatible table with control-response margin in [{g_lo}, {g_hi}]"
-            )
-        return (min(accepted), max(accepted))
-
-    ci, ms = _timed(run)
-    return MethodResult("margin_inversion", nobs, alpha, ci, 0, "exact", ms)
+    n, m = nobs.n, nobs.m
+    g_lo, g_hi = ci_count(n, n - m, nobs.n01, alpha, refine=True)
+    ci = (nobs.n11 - g_hi, n - nobs.n10 - g_lo)
+    return MethodResult("margin_inversion", nobs, alpha, ci, 0, "exact")
 
 
 def ci_two_sided_frontier(
@@ -222,21 +183,17 @@ def ci_two_sided_frontier(
     Designs with m > n - m are conjugated by a treatment label switch.
     """
     alpha = _check_alpha(alpha)
-
-    def run() -> tuple[tuple[int, int], int]:
-        switched = nobs.m > nobs.n - nobs.m
-        work = nobs.switch_z() if switched else nobs
-        below = frontier_scan(work, alpha, "two_sided", mode)
-        above = frontier_scan(work.switch_y(), alpha, "two_sided", mode)
-        accepted = set(below.accepted_ntau) | {-k for k in above.accepted_ntau}
-        if switched:
-            accepted = {-k for k in accepted}
-        if not accepted:
-            raise EmptyAcceptance("two-sided frontier accepted no compatible table")
-        return (min(accepted), max(accepted)), below.tests + above.tests
-
-    (ci, tests), ms = _timed(run)
-    return MethodResult("two_sided_frontier", nobs, alpha, ci, tests, mode.variant, ms)
+    switched = nobs.m > nobs.n - nobs.m
+    work = nobs.switch_z() if switched else nobs
+    below = frontier_scan(work, alpha, "two_sided", mode)
+    above = frontier_scan(work.switch_y(), alpha, "two_sided", mode)
+    accepted = below.accepted_ntau | {-k for k in above.accepted_ntau}
+    if switched:
+        accepted = {-k for k in accepted}
+    if not accepted:
+        raise EmptyAcceptance("two-sided frontier accepted no compatible table")
+    ci = (min(accepted), max(accepted))
+    return MethodResult("two_sided_frontier", nobs, alpha, ci, below.tests + above.tests, mode.variant)
 
 
 def ci_one_sided(
@@ -251,21 +208,16 @@ def ci_one_sided(
     (n11 + n00)/n; the upper interval is the outcome-label conjugate.
     """
     alpha = _check_alpha(alpha)
-
-    def run() -> tuple[tuple[int, int], int]:
-        work = nobs if direction == "lower" else nobs.switch_y()
-        scan = frontier_scan(work, alpha, "one_sided", mode)
-        if not scan.accepted_ntau:
-            raise EmptyAcceptance("one-sided frontier accepted no compatible table")
-        lo = min(scan.accepted_ntau)
-        hi = work.n11 + work.n00
-        if direction == "upper":
-            lo, hi = -hi, -lo
-        return (lo, hi), scan.tests
-
-    (ci, tests), ms = _timed(run)
+    work = nobs if direction == "lower" else nobs.switch_y()
+    scan = frontier_scan(work, alpha, "one_sided", mode)
+    if not scan.accepted_ntau:
+        raise EmptyAcceptance("one-sided frontier accepted no compatible table")
+    lo = min(scan.accepted_ntau)
+    hi = work.n11 + work.n00
+    if direction == "upper":
+        lo, hi = -hi, -lo
     method = "one_sided_lower" if direction == "lower" else "one_sided_upper"
-    return MethodResult(method, nobs, alpha, ci, tests, mode.variant, ms)
+    return MethodResult(method, nobs, alpha, (lo, hi), scan.tests, mode.variant)
 
 
 def ci_brute_force(
@@ -280,17 +232,27 @@ def ci_brute_force(
     (duplicated tables are retested, as in the classical baseline).
     """
     alpha = _check_alpha(alpha)
+    p_eval = make_p_evaluator(nobs, "two_sided", mode)
+    accepted, tests = [], 0
+    for N in iter_cell_decompositions(nobs):
+        tests += 1
+        if p_eval(N) >= alpha:
+            accepted.append(N.ntau)
+    if not accepted:
+        raise EmptyAcceptance("no compatible table accepted at this level")
+    return MethodResult("brute_force", nobs, alpha, (min(accepted), max(accepted)), tests, mode.variant)
 
-    def run() -> tuple[tuple[int, int], int]:
-        counter = TestCounter()
-        p_eval = make_p_evaluator(nobs, "two_sided", mode, counter)
-        accepted = [N.ntau for N in iter_cell_decompositions(nobs) if p_eval(N) >= alpha]
-        if not accepted:
-            raise EmptyAcceptance("no compatible table accepted at this level")
-        return (min(accepted), max(accepted)), counter.count
 
-    (ci, tests), ms = _timed(run)
-    return MethodResult("brute_force", nobs, alpha, ci, tests, mode.variant, ms)
+#: Method id -> (CLI name, construction). The lambdas look the constructions
+#: up by module name at call time, so a wrapper set on that name is used.
+METHODS: dict[str, tuple[str, Callable[[ObservedTable, Fraction, PValueMode], MethodResult]]] = {
+    "bonferroni": ("bonferroni", lambda nobs, alpha, mode: ci_bonferroni(nobs, alpha)),
+    "margin_inversion": ("margin-inversion", lambda nobs, alpha, mode: ci_margin_inversion(nobs, alpha)),
+    "two_sided_frontier": ("two-sided", lambda nobs, alpha, mode: ci_two_sided_frontier(nobs, alpha, mode)),
+    "one_sided_lower": ("one-sided-lower", lambda nobs, alpha, mode: ci_one_sided(nobs, alpha, "lower", mode)),
+    "one_sided_upper": ("one-sided-upper", lambda nobs, alpha, mode: ci_one_sided(nobs, alpha, "upper", mode)),
+    "brute_force": ("brute-force", lambda nobs, alpha, mode: ci_brute_force(nobs, alpha, mode)),
+}
 
 
 def compute_ci(
@@ -299,17 +261,7 @@ def compute_ci(
     alpha: Fraction,
     mode: PValueMode = PValueMode.exact(),
 ) -> MethodResult:
-    """Dispatch by method id (see METHOD_IDS)."""
-    if method == "bonferroni":
-        return ci_bonferroni(nobs, alpha)
-    if method == "margin_inversion":
-        return ci_margin_inversion(nobs, alpha)
-    if method == "two_sided_frontier":
-        return ci_two_sided_frontier(nobs, alpha, mode)
-    if method == "one_sided_lower":
-        return ci_one_sided(nobs, alpha, "lower", mode)
-    if method == "one_sided_upper":
-        return ci_one_sided(nobs, alpha, "upper", mode)
-    if method == "brute_force":
-        return ci_brute_force(nobs, alpha, mode)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
+    """Dispatch by method id (a key of METHODS)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    return METHODS[method][1](nobs, alpha, mode)

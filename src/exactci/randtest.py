@@ -25,7 +25,6 @@ from .errors import DegenerateArm, ScaleGuard, SizeMismatch
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
-    "TestCounter",
     "PValueMode",
     "null_dist",
     "p_one_sided",
@@ -42,28 +41,17 @@ DEFAULT_MAX_EXACT_N = 300
 def max_exact_n() -> int:
     """Largest n for which exact p-values are allowed (env-overridable)."""
     raw = os.environ.get(SCALE_GUARD_ENV)
-    if raw is not None:
-        return int(raw)
-    return DEFAULT_MAX_EXACT_N
+    if raw is None:
+        return DEFAULT_MAX_EXACT_N
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{SCALE_GUARD_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _guard(n: int, limit: int | None = None) -> None:
     cap = limit if limit is not None else max_exact_n()
     if n > cap:
         raise ScaleGuard(f"exact computation requested for n={n} > limit {cap}")
-
-
-@dataclass
-class TestCounter:
-    """Counts p-value evaluations performed during a method run."""
-
-    count: int = 0
-
-    def tick(self) -> None:
-        self.count += 1
-
-    def merge(self, other: "TestCounter") -> None:
-        self.count += other.count
 
 
 @dataclass(frozen=True)
@@ -147,11 +135,7 @@ def _check_pair(N: PotentialTable, nobs: ObservedTable) -> None:
         raise SizeMismatch(f"potential table n={N.n} vs observed n={nobs.n}")
 
 
-def p_one_sided(
-    N: PotentialTable,
-    nobs: ObservedTable,
-    counter: TestCounter | None = None,
-) -> Fraction:
+def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(estimate >= observed estimate) under N."""
     _check_pair(N, nobs)
     _guard(N.n)
@@ -160,16 +144,10 @@ def p_one_sided(
     for scaled, w in _scaled_atoms(N.as_tuple(), nobs.m):
         if scaled >= t_obs:
             num += w
-    if counter is not None:
-        counter.tick()
     return Fraction(num, comb(N.n, nobs.m))
 
 
-def p_two_sided(
-    N: PotentialTable,
-    nobs: ObservedTable,
-    counter: TestCounter | None = None,
-) -> Fraction:
+def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(|estimate - tau| >= |observed estimate - tau|) under N."""
     _check_pair(N, nobs)
     _guard(N.n)
@@ -181,8 +159,6 @@ def p_two_sided(
     for scaled, w in _scaled_atoms(N.as_tuple(), m):
         if abs(scaled - t_tau) >= margin:
             num += w
-    if counter is not None:
-        counter.tick()
     return Fraction(num, comb(n, m))
 
 
@@ -221,7 +197,6 @@ def mc_p(
     statistic: Literal["one_sided", "two_sided"],
     reps: int,
     seed: int,
-    counter: TestCounter | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo p-value estimate and its standard error.
 
@@ -245,23 +220,21 @@ def mc_p(
         else:
             hit = abs(scaled - t_tau) >= margin
         hits += int(hit)
-    if counter is not None:
-        counter.tick()
     est = hits / reps
     return est, sqrt(est * (1.0 - est) / reps)
-
-
-PValueFn = Callable[[PotentialTable], Fraction]
 
 
 def make_p_evaluator(
     nobs: ObservedTable,
     statistic: Literal["one_sided", "two_sided"],
     mode: PValueMode,
-    counter: TestCounter,
 ) -> Callable[[PotentialTable], Fraction | float]:
-    """Bind a p-value function to an observed table, mode, and counter."""
+    """Bind a p-value function to an observed table and mode.
+
+    The exact p-value function is looked up by module name when the
+    evaluator is made, so a wrapper set on that name sees every test.
+    """
     if mode.variant == "exact":
         fn = p_one_sided if statistic == "one_sided" else p_two_sided
-        return lambda N: fn(N, nobs, counter)
-    return lambda N: mc_p(N, nobs, statistic, mode.reps, mode.seed, counter)[0]
+        return lambda N: fn(N, nobs)
+    return lambda N: mc_p(N, nobs, statistic, mode.reps, mode.seed)[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
 from .errors import DegenerateArm, SizeMismatch
 
@@ -28,8 +28,6 @@ __all__ = [
     "is_compatible",
     "enumerate_compatible",
     "attainable_ntau_range",
-    "switch_y",
-    "switch_z",
 ]
 
 
@@ -163,17 +161,6 @@ MOVES: tuple[TableMove, ...] = (
 )
 
 CONTROL_SIDE_MOVES: tuple[TableMove, ...] = tuple(mv for mv in MOVES if mv.control_side)
-
-Table = Union[ObservedTable, PotentialTable]
-
-
-def switch_y(x: Table) -> Table:
-    return x.switch_y()
-
-
-def switch_z(x: Table) -> Table:
-    return x.switch_z()
-
 
 def is_compatible(N: PotentialTable, nobs: ObservedTable) -> bool:
     """Whether some unit-level arrangement summarized by N yields nobs.

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from exactci import ObservedTable, ci_two_sided_frontier
+from exactci import MethodResult, ObservedTable, ci_two_sided_frontier
 from exactci.cli import (
     EXIT_COVERAGE,
     EXIT_SCALE,
@@ -16,9 +16,19 @@ from exactci.cli import (
     main,
     parse_alpha,
     parse_table,
-    result_from_dict,
     result_to_dict,
 )
+
+
+def result_from_dict(d: dict) -> MethodResult:
+    return MethodResult(
+        method=d["method"],
+        table=ObservedTable(*d["table"]),
+        alpha=Fraction(d["alpha"]),
+        ci_ntau=(d["ci_ntau"][0], d["ci_ntau"][1]),
+        tests=d["tests"],
+        mode=d["mode"],
+    )
 
 
 @pytest.fixture
@@ -92,6 +102,12 @@ class TestCompute:
         res = runner.invoke(main, ["compute", "--table", "4,4,4,4", "--method", "two-sided"])
         assert res.exit_code == EXIT_SCALE
 
+    def test_invalid_scale_guard_env(self, runner, monkeypatch):
+        monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "abc")
+        res = runner.invoke(main, ["compute", "--table", "1,1,1,5", "--method", "two-sided"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "EXACTCI_MAX_EXACT_N" in res.stderr
+
     def test_monte_carlo_mode(self, runner):
         res = runner.invoke(
             main,
@@ -104,12 +120,13 @@ class TestCompute:
         assert json.loads(res.output)["mode"] == "monte_carlo"
 
     def test_wang_flag(self, runner):
+        # the flag did nothing and is gone; old scripts get a usage error
         res = runner.invoke(
             main,
             ["compute", "--table", "8,4,5,7", "--method", "bonferroni", "--wang", "--format", "json"],
         )
-        assert res.exit_code == 0
-        assert json.loads(res.output)["ci_ntau"] == [-4, 14]
+        assert res.exit_code == 2
+        assert "--wang" in res.stderr
 
     def test_shrunk_count_intervals_without_wang(self, runner):
         res = runner.invoke(
@@ -171,6 +188,26 @@ class TestBatch:
         assert res.exit_code == 0
         payload = json.loads(out.read_text())
         assert payload[0]["ci_ntau"] == [-2, 14]
+
+
+class TestDeterminism:
+    def test_repeated_runs_are_byte_identical(self, runner, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(
+            TestBatch.HEADER
+            + "".join(
+                f"8,4,5,7,0.05,{name}\n"
+                for name in ("bonferroni", "margin-inversion", "two-sided", "one-sided-upper")
+            )
+        )
+        for args in (
+            ["batch", str(path)],
+            ["batch", str(path), "--format", "json"],
+            ["compute", "--table", "1,1,1,13", "--method", "two-sided", "--format", "json"],
+        ):
+            first, second = runner.invoke(main, args), runner.invoke(main, args)
+            assert first.exit_code == 0, args
+            assert first.stdout_bytes == second.stdout_bytes, args
 
 
 class TestEnumerate:

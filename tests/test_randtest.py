@@ -11,14 +11,16 @@ from exactci import (
     PValueMode,
     ScaleGuard,
     SizeMismatch,
-    TestCounter as EvalCounter,
+    ci_brute_force,
+    frontier_scan,
     mc_p,
     null_dist,
     p_one_sided,
     p_two_sided,
 )
 from exactci.oracle import enumerate_assignments, units_from_table
-from exactci.randtest import SCALE_GUARD_ENV
+from exactci import randtest
+from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
 
 
 class TestNullDist:
@@ -82,15 +84,20 @@ class TestExactPValues:
         expect_two = sum(p for v, p in dist if abs(v - N.tau) >= margin)
         assert p_two_sided(N, nobs) == expect_two
 
-    def test_counter_ticks(self):
-        counter = EvalCounter()
-        nobs = ObservedTable(1, 1, 1, 1)
-        p_two_sided(PotentialTable(1, 1, 1, 1), nobs, counter)
-        p_one_sided(PotentialTable(1, 1, 1, 1), nobs, counter)
-        assert counter.count == 2
-        other = EvalCounter()
-        other.merge(counter)
-        assert other.count == 2
+    def test_counter_ticks(self, monkeypatch):
+        # the searches count one test per call of randtest's p-value functions
+        calls = []
+        for name in ("p_one_sided", "p_two_sided"):
+            fn = getattr(randtest, name)
+            monkeypatch.setattr(randtest, name, lambda N, nobs, fn=fn: calls.append(N) or fn(N, nobs))
+        nobs = ObservedTable(2, 1, 1, 3)
+        for run in (
+            lambda: frontier_scan(nobs, Fraction(1, 20), "two_sided"),
+            lambda: frontier_scan(nobs, Fraction(1, 20), "one_sided"),
+            lambda: ci_brute_force(nobs, Fraction(1, 20)),
+        ):
+            calls.clear()
+            assert run().tests == len(calls) > 0
 
     def test_scale_guard_env_override(self, monkeypatch):
         monkeypatch.setenv(SCALE_GUARD_ENV, "5")
@@ -99,6 +106,12 @@ class TestExactPValues:
             p_two_sided(PotentialTable(2, 1, 1, 2), nobs)
         monkeypatch.setenv(SCALE_GUARD_ENV, "6")
         assert p_two_sided(PotentialTable(2, 1, 1, 2), nobs) > 0
+
+    def test_invalid_scale_guard_env(self, monkeypatch):
+        for raw in ("abc", "-1", "2.5"):
+            monkeypatch.setenv(SCALE_GUARD_ENV, raw)
+            with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
+                max_exact_n()
 
 
 class TestPValueMode:
