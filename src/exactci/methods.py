@@ -32,7 +32,8 @@ from .tables import (
     ObservedTable,
     PotentialTable,
     attainable_ntau_range,
-    is_compatible,
+    compatible_n10,
+    is_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
     iter_cell_decompositions,
     iter_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
 )
@@ -95,7 +96,9 @@ def frontier_scan(
     justifies. Candidates beyond the observed estimate (two-sided) or with a
     negative forced fourth cell are skipped without testing; if no candidate
     is accepted the frontier takes its fallback value (one above the last
-    admissible N10 for two-sided, n+1 for one-sided).
+    admissible N10 for two-sided, n+1 for one-sided). The compatible tables
+    of a cell form one N10 interval (`compatible_n10`), so the accepted n*tau
+    of a cell are one range.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
     label switch otherwise.
@@ -127,10 +130,10 @@ def frontier_scan(
                 frontier = (N01 + floor_nt + 1) if two_sided else (n + 1)
             out.frontiers[(N11, N01)] = frontier
             carry = max(frontier, 0)
-            for N10 in range(max(frontier, 0), hi + 1):
-                N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
-                if is_compatible(N, nobs):
-                    out.accepted_ntau.add(N10 - N01)
+            compatible = compatible_n10(nobs, N11, N01)
+            first = max(carry, compatible.start)
+            last = min(hi, compatible.stop - 1)
+            out.accepted_ntau.update(range(first - N01, last - N01 + 1))
     return out
 
 

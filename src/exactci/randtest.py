@@ -2,10 +2,36 @@
 
 Under a fixed potential table, complete randomization induces an exact
 distribution of the estimate: a treatment group of size m is a uniform random
-size-m subset, so the per-category treated counts follow a multivariate
-hypergeometric law. The engine enumerates those splits with big-integer
-weights and compares statistics on a cleared-denominator integer scale
-(statistic times n*m*(n-m)), so every accept/reject decision is bit-exact.
+size-m subset, so the per-category treated counts (x11, x10, x01, x00) follow
+a multivariate hypergeometric law. Statistics are compared on a
+cleared-denominator integer scale (statistic times n*m*(n-m)) and tail
+weights are big integers, so every p-value is an exact `Fraction` and every
+accept/reject decision is bit-exact.
+
+A test is decided in one of two ways:
+
+* **Direct tail sum, O(n^2).** With the treated counts (x11, x10) fixed, the
+  scaled statistic is base + n*m*x01, which increases with x01. So a one-sided
+  tail is one x01 range and a two-sided tail is two. Prefix sums of
+  C(N01, x01) * C(N00, r2 - x01) over x01, one table per r2 = m - x11 - x10,
+  make each range one lookup; pairs whose range misses the tail are skipped,
+  and a table is built only for an r2 where some range is partly in it.
+* **Built distribution, O(log n).** `_scaled_atoms` enumerates every split
+  once (O(n^3) big-integer weights), merges equal statistics and stores each
+  atom with its upper-tail weight; a test is then two bisections.
+
+Which one runs is a rent-or-buy choice per (potential table, m) key. The first
+direct test of a key gives it a budget equal to its split count, the size of
+a build; every direct test spends the work it did (the (x11, x10) pairs it
+visited plus the prefix entries it built). Once the budget is spent, the next
+test of the key builds the distribution, and later tests read it. So a key
+tested once is never built, as in a one-off frontier scan, while tables
+tested many times (coverage sweeps, batches over a shared design) build
+early and then decide by bisection. The rule has no tunable constant. Both
+caches are bounded: the budget record keeps the newest `_BUDGET_KEYS` keys,
+and `_scaled_atoms` is an `lru_cache` of 100,000 distributions.
+
+`null_dist` is the definitional reference, read off the built distribution.
 
 A Monte Carlo estimator with sequential hypergeometric draws is available as
 a scaling escape hatch; it never participates in exactness guarantees.
@@ -15,6 +41,8 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_left
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -73,6 +101,12 @@ class PValueMode:
         return PValueMode("monte_carlo", reps, seed)
 
 
+@lru_cache(maxsize=1024)
+def _comb_row(c: int) -> tuple[int, ...]:
+    """C(c, k) for k = 0..c."""
+    return tuple(comb(c, k) for k in range(c + 1))
+
+
 def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (x11, x10, x01, x00, weight) over all treated-count splits.
 
@@ -80,10 +114,7 @@ def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int
     C(n, m).
     """
     N11, N10, N01, N00 = N.as_tuple()
-    c11 = [comb(N11, k) for k in range(N11 + 1)]
-    c10 = [comb(N10, k) for k in range(N10 + 1)]
-    c01 = [comb(N01, k) for k in range(N01 + 1)]
-    c00 = [comb(N00, k) for k in range(N00 + 1)]
+    c11, c10, c01, c00 = map(_comb_row, (N11, N10, N01, N00))
     for x11 in range(max(0, m - N10 - N01 - N00), min(N11, m) + 1):
         w11 = c11[x11]
         r1 = m - x11
@@ -97,9 +128,11 @@ def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int
 
 @lru_cache(maxsize=100_000)
 def _scaled_atoms(cells: tuple[int, int, int, int], m: int) -> tuple[tuple[int, int], ...]:
-    """Merged atoms (statistic * n*m*(n-m), weight) of the null distribution.
+    """Atoms (statistic * n*m*(n-m), upper-tail weight) of the null distribution.
 
-    Sorted by scaled statistic value; weights sum to C(n, m).
+    Sorted by scaled statistic; an atom's tail weight is the total weight of
+    the atoms at or above it, so the first atom's is C(n, m). Equal
+    statistics are merged.
     """
     N = PotentialTable(*cells)
     n = N.n
@@ -107,7 +140,12 @@ def _scaled_atoms(cells: tuple[int, int, int, int], m: int) -> tuple[tuple[int, 
     for x11, x10, x01, x00, w in _iter_splits(N, m):
         scaled = n * ((x11 + x10) * (n - m) - (N.N11 - x11 + N.N01 - x01) * m)
         merged[scaled] = merged.get(scaled, 0) + w
-    return tuple(sorted(merged.items()))
+    tail = 0
+    atoms = []
+    for scaled in sorted(merged, reverse=True):
+        tail += merged[scaled]
+        atoms.append((scaled, tail))
+    return tuple(reversed(atoms))
 
 
 def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
@@ -118,10 +156,99 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     _guard(n)
     denom = n * m * (n - m)
     cn = comb(n, m)
+    atoms = _scaled_atoms(N.as_tuple(), m)
+    tails = [tail for _, tail in atoms[1:]] + [0]
     return [
-        (Fraction(scaled, denom), Fraction(w, cn))
-        for scaled, w in _scaled_atoms(N.as_tuple(), m)
+        (Fraction(scaled, denom), Fraction(tail - above, cn))
+        for (scaled, tail), above in zip(atoms, tails)
     ]
+
+
+#: Budget record of the rent-or-buy choice: (cells, m) -> work left before
+#: the key's distribution is built. Oldest keys are evicted first.
+_BUDGET_KEYS = 1 << 18
+_budgets: OrderedDict[tuple[tuple[int, int, int, int], int], int] = OrderedDict()
+
+
+def _tail_weight(cells: tuple[int, int, int, int], m: int, upper: int, lower: int | None) -> int:
+    """Weight of the splits whose scaled statistic is >= upper or <= lower.
+
+    lower=None means an upper tail only. Summed directly or read off the
+    built distribution, by the rent-or-buy rule of the module docstring.
+    """
+    key = (cells, m)
+    budget = _budgets.get(key)
+    if budget is not None and budget <= 0:
+        atoms = _scaled_atoms(cells, m)
+
+        def at_or_above(t: int) -> int:
+            i = bisect_left(atoms, (t,))
+            return atoms[i][1] if i < len(atoms) else 0
+
+        weight = at_or_above(upper)
+        if lower is not None:
+            weight += atoms[0][1] - at_or_above(lower + 1)
+        return weight
+    weight, work, splits = _tail_direct(cells, m, upper, lower)
+    if budget is None:
+        if len(_budgets) >= _BUDGET_KEYS:
+            _budgets.popitem(last=False)
+        budget = splits
+    _budgets[key] = budget - work
+    return weight
+
+
+def _tail_direct(
+    cells: tuple[int, int, int, int], m: int, upper: int, lower: int | None
+) -> tuple[int, int, int]:
+    """(tail weight, work done, split count) by x01 range sums.
+
+    With r2 = x01 + x00 fixed, x11 + x10 = m - r2 and the scaled statistic
+    of a split is base + n*m*(x11 + x01). So in each row x11 the upper tail
+    is one range x01 >= k - x11 and the lower tail one range x01 <= j - x11.
+    A range is the whole row (weight C(N01 + N00, r2)) or a part, read off
+    the prefix sums of C(N01, x01) * C(N00, r2 - x01) over the row's x01
+    from lo. Rows outside a tail are not visited, and the prefix sums are
+    built only for an r2 with a part row. Work is the rows visited plus the
+    prefix entries built.
+    """
+    N11, N10, N01, N00 = cells
+    n = N11 + N10 + N01 + N00
+    step = n * m
+    c11, c10, c01, c00 = map(_comb_row, cells)
+    weight = work = splits = 0
+    for r2 in range(max(0, m - N11 - N10), min(m, N01 + N00) + 1):
+        s = m - r2
+        # x01 range [lo, hi] and x11 range [first, last] (conditionals are
+        # cheaper than max/min calls on this path)
+        lo = r2 - N00 if r2 > N00 else 0
+        hi = r2 if r2 < N01 else N01
+        first = s - N10 if s > N10 else 0
+        last = s if s < N11 else N11
+        splits += (hi - lo + 1) * (last - first + 1)
+        base = n * (s * (n - m) - (N11 + N01) * m)
+        k = -((base - upper) // step)  # least x11 + x01 in the upper tail
+        up = range(max(first, k - hi), last + 1)
+        whole_up = k - lo  # up rows from here are whole
+        down, whole_down = range(0), -1
+        if lower is not None:
+            j = (lower - base) // step  # greatest x11 + x01 in the lower tail
+            down = range(first, min(last, j - lo) + 1)
+            whole_down = j - hi  # down rows up to here are whole
+        if up.start < min(up.stop, whole_up) or max(down.start, whole_down + 1) < down.stop:
+            pre = [0]
+            for x01 in range(lo, hi + 1):
+                pre.append(pre[-1] + c01[x01] * c00[r2 - x01])
+            work += hi - lo + 1
+        full = comb(N01 + N00, r2)
+        for x11 in up:
+            g = c11[x11] * c10[s - x11]
+            weight += g * full if x11 >= whole_up else g * (full - pre[k - x11 - lo])
+        for x11 in down:
+            g = c11[x11] * c10[s - x11]
+            weight += g * full if x11 <= whole_down else g * pre[j - x11 - lo + 1]
+        work += len(up) + len(down)
+    return weight, work, splits
 
 
 def _scaled_obs(nobs: ObservedTable) -> int:
@@ -136,30 +263,33 @@ def _check_pair(N: PotentialTable, nobs: ObservedTable) -> None:
 
 
 def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
-    """Exact P(estimate >= observed estimate) under N."""
+    """Exact P(estimate >= observed estimate) under N.
+
+    The tail is one x01 range per (x11, x10), summed directly or read off
+    the built distribution (see the module docstring).
+    """
     _check_pair(N, nobs)
     _guard(N.n)
-    t_obs = _scaled_obs(nobs)
-    num = 0
-    for scaled, w in _scaled_atoms(N.as_tuple(), nobs.m):
-        if scaled >= t_obs:
-            num += w
-    return Fraction(num, comb(N.n, nobs.m))
+    weight = _tail_weight(N.as_tuple(), nobs.m, _scaled_obs(nobs), None)
+    return Fraction(weight, comb(N.n, nobs.m))
 
 
 def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
-    """Exact P(|estimate - tau| >= |observed estimate - tau|) under N."""
+    """Exact P(|estimate - tau| >= |observed estimate - tau|) under N.
+
+    The tail is two x01 ranges per (x11, x10), summed directly or read off
+    the built distribution (see the module docstring). An observed estimate
+    equal to tau gives p = 1 without a sum.
+    """
     _check_pair(N, nobs)
     _guard(N.n)
     n, m = N.n, nobs.m
-    t_obs = _scaled_obs(nobs)
     t_tau = m * (n - m) * N.ntau  # tau on the same cleared-denominator scale
-    margin = abs(t_obs - t_tau)
-    num = 0
-    for scaled, w in _scaled_atoms(N.as_tuple(), m):
-        if abs(scaled - t_tau) >= margin:
-            num += w
-    return Fraction(num, comb(n, m))
+    margin = abs(_scaled_obs(nobs) - t_tau)
+    if margin == 0:
+        return Fraction(1)
+    weight = _tail_weight(N.as_tuple(), m, t_tau + margin, t_tau - margin)
+    return Fraction(weight, comb(n, m))
 
 
 def _draw_split(rng: random.Random, N: PotentialTable, m: int) -> tuple[int, int, int, int]:

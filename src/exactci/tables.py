@@ -26,6 +26,7 @@ __all__ = [
     "MOVES",
     "CONTROL_SIDE_MOVES",
     "is_compatible",
+    "compatible_n10",
     "enumerate_compatible",
     "attainable_ntau_range",
 ]
@@ -183,6 +184,22 @@ def is_compatible(N: PotentialTable, nobs: ObservedTable) -> bool:
         N.n - N.N10 - nobs.n01 - nobs.n10,
     )
     return lo <= hi
+
+
+def compatible_n10(nobs: ObservedTable, N11: int, N01: int) -> range:
+    """The N10 values that make (N11, N10, N01, n - N11 - N10 - N01) compatible.
+
+    In `is_compatible`, N10 enters only the bounds n11 - N10 (of lo) and
+    n11 + n00 - N10 (of hi); the other bounds L0 and H0 are fixed by
+    (N11, N01). So the compatible N10 form the one interval
+    [n11 - H0, n11 + n00 - L0], empty when L0 > H0. Every N10 in it leaves
+    the fourth cell non-negative.
+    """
+    L0 = max(0, N11 - nobs.n01, N11 + N01 - nobs.n10 - nobs.n01)
+    H0 = min(N11, nobs.n11, N11 + N01 - nobs.n01)
+    if L0 > H0:
+        return range(0)
+    return range(nobs.n11 - H0, nobs.n11 + nobs.n00 - L0 + 1)
 
 
 def iter_compatible(nobs: ObservedTable) -> Iterator[PotentialTable]:

@@ -67,19 +67,19 @@ def check_p1_move_monotonicity(n: int) -> None:
     Checked as stochastic dominance of the null distributions, which covers
     every possible observed estimate at once.
     """
-    from exactci.randtest import _scaled_atoms
+    from exactci.randtest import null_dist
 
     for m in range(1, n):
         for N in potential_tables(n):
-            base = dict(_scaled_atoms(N.as_tuple(), m))
+            base = dict(null_dist(N, m))
             for mv in MOVES:
                 shifted = N.shifted(mv.delta)
                 if shifted is None:
                     continue
-                moved = dict(_scaled_atoms(shifted.as_tuple(), m))
+                moved = dict(null_dist(shifted, m))
                 thresholds = sorted(set(base) | set(moved))
-                tail_base = 0
-                tail_moved = 0
+                tail_base = Fraction(0)
+                tail_moved = Fraction(0)
                 # walk thresholds from the top; compare upper tails
                 for t in reversed(thresholds):
                     tail_base += base.get(t, 0)

@@ -1,5 +1,8 @@
 """Exact randomization-test engine and its Monte Carlo escape hatch."""
 
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +24,52 @@ from exactci import (
 from exactci.oracle import enumerate_assignments, units_from_table
 from exactci import randtest
 from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
+
+from conftest import observed_tables, potential_tables
+
+
+def definitional_p(N, nobs, dist=None):
+    """(p_one_sided, p_two_sided) summed over the atoms of null_dist."""
+    dist = null_dist(N, nobs.m) if dist is None else dist
+    tau_hat, tau = nobs.tau_hat, N.tau
+    margin = abs(tau_hat - tau)
+    return (
+        sum((p for v, p in dist if v >= tau_hat), Fraction(0)),
+        sum((p for v, p in dist if abs(v - tau) >= margin), Fraction(0)),
+    )
+
+
+def atoms_reads():
+    info = randtest._scaled_atoms.cache_info()
+    return info.hits + info.misses
+
+
+def p_direct(N, nobs):
+    """Both p-values with an empty budget record, so each is a direct tail sum."""
+    reads = atoms_reads()
+    randtest._budgets.clear()
+    one = p_one_sided(N, nobs)
+    randtest._budgets.clear()
+    two = p_two_sided(N, nobs)
+    assert atoms_reads() == reads
+    return one, two
+
+
+def p_built(N, nobs):
+    """Both p-values with the key's budget spent, so each reads the built distribution."""
+    reads = atoms_reads()
+    randtest._budgets[(N.as_tuple(), nobs.m)] = 0
+    one, two = p_one_sided(N, nobs), p_two_sided(N, nobs)
+    assert atoms_reads() == reads + 1 + (nobs.tau_hat != N.tau)  # margin 0 reads nothing
+    return one, two
+
+
+def random_pair(rng, n, m=None):
+    """A random (potential table, observed table) pair of size n."""
+    m = rng.randint(1, n - 1) if m is None else m
+    a, b, c = sorted(rng.randint(0, n) for _ in range(3))
+    n11, n01 = rng.randint(0, m), rng.randint(0, n - m)
+    return PotentialTable(a, b - a, c - b, n - c), ObservedTable(n11, m - n11, n01, n - m - n01)
 
 
 class TestNullDist:
@@ -112,6 +161,91 @@ class TestExactPValues:
             monkeypatch.setenv(SCALE_GUARD_ENV, raw)
             with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
                 max_exact_n()
+
+
+class TestDecisionPaths:
+    """The direct tail sum and the built distribution give the definitional p-values."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_budgets(self):
+        # the budget record is process-wide; leave no forced path behind
+        yield
+        randtest._budgets.clear()
+
+    def test_every_pair_up_to_n9(self):
+        # every potential table against every observed table, so every m
+        for n in range(2, 10):
+            by_m = {}
+            for nobs in observed_tables(n):
+                by_m.setdefault(nobs.m, []).append(nobs)
+            for N, (m, tables) in itertools.product(potential_tables(n), by_m.items()):
+                dist = null_dist(N, m)
+                for nobs in tables:
+                    expect = definitional_p(N, nobs, dist)
+                    assert p_direct(N, nobs) == expect, (N, nobs)
+                    assert p_built(N, nobs) == expect, (N, nobs)
+
+    def test_random_pairs_n11_to_60(self):
+        rng = random.Random(20151)
+        deadline = time.monotonic() + 3.0
+        checked = 0
+        while checked < 40 or time.monotonic() < deadline:
+            N, nobs = random_pair(rng, rng.randint(11, 60))
+            expect = definitional_p(N, nobs)
+            assert p_direct(N, nobs) == expect, (N, nobs)
+            assert p_built(N, nobs) == expect, (N, nobs)
+            checked += 1
+
+    def test_extreme_arms(self):
+        rng = random.Random(7)
+        for n in (11, 25, 60):
+            for m in (1, n - 1):
+                for _ in range(10):
+                    N, nobs = random_pair(rng, n, m)
+                    expect = definitional_p(N, nobs)
+                    assert p_direct(N, nobs) == expect == p_built(N, nobs), (N, nobs)
+
+    def test_zero_margin_is_one_on_both_paths(self):
+        # observed estimate equal to tau: every assignment is as extreme
+        for N, nobs in (
+            (PotentialTable(2, 3, 1, 4), ObservedTable(2, 3, 1, 4)),
+            (PotentialTable(3, 5, 5, 11), ObservedTable(4, 8, 4, 8)),
+            (PotentialTable(0, 2, 0, 18), ObservedTable(1, 9, 0, 10)),
+            (PotentialTable(5, 2, 2, 11), ObservedTable(0, 1, 0, 19)),
+        ):
+            assert N.tau == nobs.tau_hat
+            assert p_direct(N, nobs)[1] == p_built(N, nobs)[1] == 1
+
+    def test_rent_then_buy(self):
+        # a first test never builds; the key builds once its budget is spent,
+        # and later tests read the built distribution
+        randtest._budgets.clear()
+        randtest._scaled_atoms.cache_clear()
+        N, nobs = PotentialTable(9, 8, 7, 6), ObservedTable(5, 10, 7, 8)
+        key = (N.as_tuple(), nobs.m)
+        expect = p_two_sided(N, nobs)
+        assert randtest._scaled_atoms.cache_info().currsize == 0
+        budget = randtest._budgets[key]
+        assert budget > 0
+        while randtest._budgets[key] > 0:
+            assert p_two_sided(N, nobs) == expect
+            assert randtest._budgets[key] < budget
+            budget = randtest._budgets[key]
+        assert randtest._scaled_atoms.cache_info().currsize == 0
+        for _ in range(3):
+            assert p_two_sided(N, nobs) == expect
+        info = randtest._scaled_atoms.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_budget_record_is_bounded(self, monkeypatch):
+        # the record keeps the newest keys and evicts the oldest
+        monkeypatch.setattr(randtest, "_BUDGET_KEYS", 3)
+        randtest._budgets.clear()
+        nobs = ObservedTable(2, 2, 2, 2)
+        tables = [PotentialTable(k, 0, 0, 8 - k) for k in range(5)]
+        for N in tables:
+            p_one_sided(N, nobs)
+        assert list(randtest._budgets) == [(N.as_tuple(), 4) for N in tables[2:]]
 
 
 class TestPValueMode:

@@ -17,7 +17,7 @@ from exactci import (
     enumerate_compatible,
     is_compatible,
 )
-from exactci.tables import iter_cell_decompositions
+from exactci.tables import compatible_n10, iter_cell_decompositions
 
 from conftest import observed_tables
 
@@ -139,6 +139,19 @@ class TestCompatibility:
         nobs = ObservedTable(2, 1, 1, 2)
         for N in enumerate_compatible(nobs):
             assert is_compatible(N.switch_y(), nobs.switch_y())
+
+    def test_compatible_n10_is_the_compatible_interval(self):
+        # every observed table with n <= 15, every (N11, N01), every N10
+        for n in range(2, 16):
+            for nobs in observed_tables(n):
+                for N11 in range(n + 1):
+                    for N01 in range(n - N11 + 1):
+                        expect = [
+                            N10
+                            for N10 in range(n - N11 - N01 + 1)
+                            if is_compatible(PotentialTable(N11, N10, N01, n - N11 - N10 - N01), nobs)
+                        ]
+                        assert list(compatible_n10(nobs, N11, N01)) == expect, (nobs, N11, N01)
 
 
 class TestEnumeration:
