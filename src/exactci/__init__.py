@@ -13,7 +13,7 @@ from .errors import (
     ScaleGuard,
     SizeMismatch,
 )
-from .hypergeom import HyperGeomSpec, ci_count, pmf, tail_ge, tail_le
+from .hypergeom import ci_count
 from .methods import (
     METHODS,
     MethodResult,
@@ -27,11 +27,8 @@ from .methods import (
 )
 from .randtest import PValueMode, mc_p, null_dist, p_one_sided, p_two_sided
 from .tables import (
-    CONTROL_SIDE_MOVES,
-    MOVES,
     ObservedTable,
     PotentialTable,
-    TableMove,
     attainable_ntau_range,
     enumerate_compatible,
     is_compatible,
@@ -42,16 +39,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ObservedTable",
     "PotentialTable",
-    "TableMove",
-    "MOVES",
-    "CONTROL_SIDE_MOVES",
     "is_compatible",
     "enumerate_compatible",
     "attainable_ntau_range",
-    "HyperGeomSpec",
-    "pmf",
-    "tail_ge",
-    "tail_le",
     "ci_count",
     "null_dist",
     "p_one_sided",

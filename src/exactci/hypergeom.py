@@ -1,125 +1,79 @@
-"""Exact hypergeometric probabilities and exact count-parameter intervals.
+"""Exact count-parameter intervals for hypergeometric draws.
 
 X ~ HyperGeo(marked, total, sample) is the number of marked units in a simple
 random sample of `sample` units drawn from `total` units of which `marked`
-carry the attribute. Probabilities are exact rationals built from big-integer
-binomial coefficients.
+carry the attribute. Probabilities are exact, compared on cleared
+denominators with big-integer binomial coefficients.
 
 `ci_count` gives an interval for the marked count from an observed draw x,
-with exact coverage at least 1 - alpha for every true value. Two
-constructions share one set of endpoint tables per (total, sample, alpha):
+with exact coverage at least 1 - alpha for every true value. It is the one
+construction the count-based effect methods use: the shrunk admissible
+intervals of Wang (2015), "Exact optimal confidence intervals for
+hypergeometric parameters", JASA. The shrink starts from the equal-tail
+inversion, which keeps every marked count whose two exact tail probabilities
+at x are both strictly above alpha/2, and moves endpoints inward in pairs
+that keep the tables symmetric under swapping the outcome labels, while the
+exact coverage of every marked count stays strictly above 1 - alpha. The
+intervals reproduce the published Bonferroni and margin-inversion intervals
+of the six example tables exactly.
 
-* equal-tail (`refine=False`): keep every marked count whose two exact tail
-  probabilities at x are both strictly above alpha/2;
-* shrunk (`refine=True`): starting from equal-tail, endpoints move inward in
-  pairs that keep the tables symmetric under swapping the outcome labels,
-  while the exact coverage of every marked count stays strictly above
-  1 - alpha. These follow the shrunk admissible intervals of Wang (2015),
-  "Exact optimal confidence intervals for hypergeometric parameters", JASA;
-  they reproduce the published Bonferroni and margin-inversion intervals of
-  the six example tables exactly, and the count-based effect methods use
-  them.
+`_comb_row` holds the binomial coefficients that this module and `randtest`
+both read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import InvalidLevel
 
-__all__ = ["HyperGeomSpec", "pmf", "tail_ge", "tail_le", "ci_count"]
+__all__ = ["ci_count"]
 
 
-@dataclass(frozen=True)
-class HyperGeomSpec:
-    """Parameters (marked, total, sample) of a hypergeometric draw."""
-
-    marked: int
-    total: int
-    sample: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.marked <= self.total:
-            raise ValueError(f"need 0 <= marked <= total, got {self}")
-        if not 0 <= self.sample <= self.total:
-            raise ValueError(f"need 0 <= sample <= total, got {self}")
-
-    @property
-    def support(self) -> tuple[int, int]:
-        lo = max(0, self.sample - (self.total - self.marked))
-        hi = min(self.sample, self.marked)
-        return (lo, hi)
+@lru_cache(maxsize=1024)
+def _comb_row(c: int) -> tuple[int, ...]:
+    """C(c, k) for k = 0..c."""
+    return tuple(comb(c, k) for k in range(c + 1))
 
 
-@lru_cache(maxsize=200_000)
-def _weight(marked: int, total: int, sample: int, x: int) -> int:
-    """Unnormalized pmf numerator C(marked, x) * C(total-marked, sample-x)."""
-    return comb(marked, x) * comb(total - marked, sample - x)
+def _check_alpha(alpha: Fraction | float) -> Fraction:
+    """alpha as an exact Fraction in (0, 1).
 
-
-def pmf(spec: HyperGeomSpec, x: int) -> Fraction:
-    """P(X = x), exact; zero off the support."""
-    lo, hi = spec.support
-    if x < lo or x > hi:
-        return Fraction(0)
-    return Fraction(
-        _weight(spec.marked, spec.total, spec.sample, x),
-        comb(spec.total, spec.sample),
-    )
-
-
-def tail_ge(spec: HyperGeomSpec, x: int) -> Fraction:
-    """P(X >= x), exact; nondecreasing in the marked count."""
-    lo, hi = spec.support
-    if x <= lo:
-        return Fraction(1)
-    if x > hi:
-        return Fraction(0)
-    num = sum(_weight(spec.marked, spec.total, spec.sample, j) for j in range(x, hi + 1))
-    return Fraction(num, comb(spec.total, spec.sample))
-
-
-def tail_le(spec: HyperGeomSpec, x: int) -> Fraction:
-    """P(X <= x), exact; nonincreasing in the marked count."""
-    lo, hi = spec.support
-    if x >= hi:
-        return Fraction(1)
-    if x < lo:
-        return Fraction(0)
-    num = sum(_weight(spec.marked, spec.total, spec.sample, j) for j in range(lo, x + 1))
-    return Fraction(num, comb(spec.total, spec.sample))
-
-
-def _check_alpha(alpha: Fraction) -> Fraction:
-    alpha = Fraction(alpha)
+    A float is read by its shortest decimal form, as the CLI reads the
+    literal: 0.1 is 1/10, not the binary value 0.1000000000000000055...
+    """
+    alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
     if not 0 < alpha < 1:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
     return alpha
 
 
-@lru_cache(maxsize=20_000)
-def _suffix_weights(total: int, sample: int) -> tuple[tuple[int, ...], ...]:
-    """suffix[marked][x] = unnormalized P(X >= x) for each marked count."""
-    rows = []
-    for marked in range(total + 1):
-        suffix = [0] * (sample + 2)
-        for x in range(sample, -1, -1):
-            suffix[x] = suffix[x + 1] + _weight(marked, total, sample, x)
-        rows.append(tuple(suffix))
-    return tuple(rows)
+def _weights(total: int, sample: int, marked: int) -> list[int]:
+    """w[x] = C(marked, x) * C(total - marked, sample - x) for x = 0..sample.
+
+    The weights sum to C(total, sample); w[x] is zero off the support.
+    """
+    a, b = _comb_row(marked), _comb_row(total - marked)
+    lo, hi = max(0, sample - (total - marked)), min(sample, marked)
+    return [a[x] * b[sample - x] if lo <= x <= hi else 0 for x in range(sample + 1)]
 
 
-@lru_cache(maxsize=20_000)
 def _equal_tail_tables(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Endpoint arrays (lo[x], hi[x]) of the equal-tail inversion for all x.
 
     Both arrays are nondecreasing in x; the scans exploit that. Tail
-    comparisons run on cleared denominators: W/cn > p/q  <=>  W*q > p*cn.
+    comparisons run on cleared denominators: W/cn > p/q  <=>  W*q > p*cn,
+    with suffix[marked][x] the unnormalized P(X >= x).
     """
-    suffix = _suffix_weights(total, sample)
+    suffix = []
+    for marked in range(total + 1):
+        row = [0] * (sample + 2)
+        w = _weights(total, sample, marked)
+        for x in range(sample, -1, -1):
+            row[x] = row[x + 1] + w[x]
+        suffix.append(row)
     cn = comb(total, sample)
     half = alpha / 2
     p, q = half.numerator, half.denominator
@@ -163,10 +117,11 @@ def _refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[
     lo, hi = list(los), list(his)
     p, q = alpha.numerator, alpha.denominator
     bound = (q - p) * comb(total, sample)  # covered*q > bound <=> coverage > 1 - alpha
+    weights = [_weights(total, sample, marked) for marked in range(total + 1)]
     covered = [0] * (total + 1)
     for x in range(sample + 1):
         for marked in range(lo[x], hi[x] + 1):
-            covered[marked] += _weight(marked, total, sample, x)
+            covered[marked] += weights[marked][x]
 
     def shrink(x: int) -> bool:
         # raise lo[x] and lower hi[sample - x]; by the symmetry the second
@@ -175,7 +130,7 @@ def _refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[
         a, y = lo[x], sample - x
         if a + 1 > hi[x] - (x == y) or (x < sample and a + 1 > lo[x + 1]):
             return False
-        w = _weight(a, total, sample, x)
+        w = weights[a][x]
         covered[a] -= w
         covered[total - a] -= w
         if covered[a] * q > bound:  # covered[] is symmetric too
@@ -195,25 +150,18 @@ def _refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[
     return tuple(lo), tuple(hi)
 
 
-def ci_count(
-    total: int,
-    sample: int,
-    x: int,
-    alpha: Fraction,
-    refine: bool = False,
-) -> tuple[int, int]:
-    """Exact interval for the marked count given an observed draw x.
+def ci_count(total: int, sample: int, x: int, alpha: Fraction) -> tuple[int, int]:
+    """Exact shrunk interval for the marked count given an observed draw x.
 
-    `refine=False` is the equal-tail inversion: it keeps every marked count
-    whose two exact tail probabilities at x are both strictly above alpha/2.
-    `refine=True` gives the shrunk intervals of `_refined_endpoints`, which
-    are never wider and symmetric: lo(x) = total - hi(sample - x). Both
-    constructions are exact (coverage at least 1 - alpha) and nondecreasing
-    in x. The shrink never lowers coverage to 1 - alpha or below, but where
-    the equal-tail coverage already equals 1 - alpha it stays there.
+    The interval comes from `_refined_endpoints`: never wider than the
+    equal-tail inversion it starts from, symmetric (lo(x) = total -
+    hi(sample - x)), nondecreasing in x, and exact (coverage at least
+    1 - alpha). The shrink never lowers coverage to 1 - alpha or below,
+    but where the equal-tail coverage already equals 1 - alpha it stays
+    there.
     """
     alpha = _check_alpha(alpha)
     if not 0 <= x <= sample <= total:
         raise ValueError(f"need 0 <= x <= sample <= total, got x={x}, sample={sample}, total={total}")
-    los, his = (_refined_endpoints if refine else _equal_tail_tables)(total, sample, alpha)
+    los, his = _refined_endpoints(total, sample, alpha)
     return los[x], his[x]

@@ -146,8 +146,8 @@ def ci_bonferroni(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
-    t_lo, t_hi = ci_count(n, m, nobs.n11, alpha / 2, refine=True)
-    c_lo, c_hi = ci_count(n, n - m, nobs.n01, alpha / 2, refine=True)
+    t_lo, t_hi = ci_count(n, m, nobs.n11, alpha / 2)
+    c_lo, c_hi = ci_count(n, n - m, nobs.n01, alpha / 2)
     a_lo, a_hi = attainable_ntau_range(nobs)
     ci = (max(t_lo - c_hi, a_lo), min(t_hi - c_lo, a_hi))
     return MethodResult("bonferroni", nobs, alpha, ci, 0, "exact")
@@ -169,7 +169,7 @@ def ci_margin_inversion(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
-    g_lo, g_hi = ci_count(n, n - m, nobs.n01, alpha, refine=True)
+    g_lo, g_hi = ci_count(n, n - m, nobs.n01, alpha)
     ci = (nobs.n11 - g_hi, n - nobs.n10 - g_lo)
     return MethodResult("margin_inversion", nobs, alpha, ci, 0, "exact")
 

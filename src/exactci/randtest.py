@@ -50,6 +50,7 @@ from math import comb, sqrt
 from typing import Callable, Iterator, Literal
 
 from .errors import DegenerateArm, ScaleGuard, SizeMismatch
+from .hypergeom import _comb_row
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
@@ -99,12 +100,6 @@ class PValueMode:
         if reps < 1:
             raise ValueError("reps must be >= 1")
         return PValueMode("monte_carlo", reps, seed)
-
-
-@lru_cache(maxsize=1024)
-def _comb_row(c: int) -> tuple[int, ...]:
-    """C(c, k) for k = 0..c."""
-    return tuple(comb(c, k) for k in range(c + 1))
 
 
 def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int, int]]:

@@ -22,9 +22,6 @@ from .errors import DegenerateArm, SizeMismatch
 __all__ = [
     "ObservedTable",
     "PotentialTable",
-    "TableMove",
-    "MOVES",
-    "CONTROL_SIDE_MOVES",
     "is_compatible",
     "compatible_n10",
     "enumerate_compatible",
@@ -132,36 +129,6 @@ class PotentialTable:
         """Relabel the treatment; negates tau."""
         return PotentialTable(self.N11, self.N01, self.N10, self.N00)
 
-    def shifted(self, delta: tuple[int, int, int, int]) -> "PotentialTable | None":
-        """Apply an additive move; None if any count would go negative."""
-        cells = tuple(c + d for c, d in zip(self.as_tuple(), delta))
-        if any(c < 0 for c in cells):
-            return None
-        return PotentialTable(*cells)
-
-
-@dataclass(frozen=True)
-class TableMove:
-    """Unit step on potential tables that raises n*tau by exactly 1.
-
-    A move changes one unit's potential outcomes. The control-side moves flip
-    a single control potential outcome from 1 to 0 (treated margin unchanged);
-    they are the subset for which two-sided p-value monotonicity holds in
-    unbalanced designs.
-    """
-
-    delta: tuple[int, int, int, int]
-    control_side: bool
-
-
-MOVES: tuple[TableMove, ...] = (
-    TableMove((0, 1, 0, -1), False),
-    TableMove((-1, 1, 0, 0), True),
-    TableMove((1, 0, -1, 0), False),
-    TableMove((0, 0, -1, 1), True),
-)
-
-CONTROL_SIDE_MOVES: tuple[TableMove, ...] = tuple(mv for mv in MOVES if mv.control_side)
 
 def is_compatible(N: PotentialTable, nobs: ObservedTable) -> bool:
     """Whether some unit-level arrangement summarized by N yields nobs.

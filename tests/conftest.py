@@ -8,18 +8,45 @@ acceptance suite call them, at their respective sizes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from exactci.methods import frontier_scan
 from exactci.randtest import p_one_sided, p_two_sided
-from exactci.tables import (
-    CONTROL_SIDE_MOVES,
-    MOVES,
-    ObservedTable,
-    PotentialTable,
-    is_compatible,
+from exactci.tables import ObservedTable, PotentialTable, is_compatible
+
+
+@dataclass(frozen=True)
+class TableMove:
+    """Unit step on potential tables that raises n*tau by exactly 1.
+
+    A move changes one unit's potential outcomes. The control-side moves flip
+    a single control potential outcome from 1 to 0 (treated margin unchanged);
+    they are the subset for which two-sided p-value monotonicity holds in
+    unbalanced designs.
+    """
+
+    delta: tuple[int, int, int, int]
+    control_side: bool
+
+
+MOVES: tuple[TableMove, ...] = (
+    TableMove((0, 1, 0, -1), False),
+    TableMove((-1, 1, 0, 0), True),
+    TableMove((1, 0, -1, 0), False),
+    TableMove((0, 0, -1, 1), True),
 )
+
+CONTROL_SIDE_MOVES: tuple[TableMove, ...] = tuple(mv for mv in MOVES if mv.control_side)
+
+
+def shifted(N: PotentialTable, delta: tuple[int, int, int, int]) -> PotentialTable | None:
+    """Apply an additive move; None if any count would go negative."""
+    cells = tuple(c + d for c, d in zip(N.as_tuple(), delta))
+    if any(c < 0 for c in cells):
+        return None
+    return PotentialTable(*cells)
 
 
 def observed_tables(n: int) -> Iterator[ObservedTable]:
@@ -73,10 +100,10 @@ def check_p1_move_monotonicity(n: int) -> None:
         for N in potential_tables(n):
             base = dict(null_dist(N, m))
             for mv in MOVES:
-                shifted = N.shifted(mv.delta)
-                if shifted is None:
+                neighbor = shifted(N, mv.delta)
+                if neighbor is None:
                     continue
-                moved = dict(null_dist(shifted, m))
+                moved = dict(null_dist(neighbor, m))
                 thresholds = sorted(set(base) | set(moved))
                 tail_base = Fraction(0)
                 tail_moved = Fraction(0)
@@ -106,14 +133,14 @@ def check_p2_move_monotonicity(n: int, balanced: bool) -> None:
         obs_by_estimate = {t: _obs_with_estimate(n, m, t) for t in grid}
         for N in potential_tables(n):
             for mv in moves:
-                shifted = N.shifted(mv.delta)
-                if shifted is None:
+                neighbor = shifted(N, mv.delta)
+                if neighbor is None:
                     continue
                 for t_obs in grid:
-                    if shifted.tau > t_obs:  # both taus must sit at or below t_obs
+                    if neighbor.tau > t_obs:  # both taus must sit at or below t_obs
                         continue
                     nobs = obs_by_estimate[t_obs]
-                    assert p_two_sided(shifted, nobs) >= p_two_sided(N, nobs), (
+                    assert p_two_sided(neighbor, nobs) >= p_two_sided(N, nobs), (
                         f"p2 monotonicity violated at n={n}, m={m}, "
                         f"N={N.as_tuple()}, move={mv.delta}, t_obs={t_obs}"
                     )
@@ -195,7 +222,7 @@ def check_contiguity(n: int, alphas: tuple[Fraction, ...]) -> None:
 
 def check_compatibility_agreement(n: int) -> None:
     """Closed-form compatibility equals the brute-force integer-solution scan."""
-    from exactci.oracle import brute_compatibility
+    from oracle import brute_compatibility
 
     for nobs in observed_tables(n):
         for N in potential_tables(n):
@@ -216,7 +243,7 @@ def check_unbiasedness(n: int) -> None:
 
 def check_null_dist_vs_assignment_enumeration(n: int) -> None:
     """Split-based null distribution equals full assignment enumeration."""
-    from exactci.oracle import enumerate_assignments, units_from_table
+    from oracle import enumerate_assignments, units_from_table
     from exactci.randtest import null_dist
 
     for m in range(1, n):

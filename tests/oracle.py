@@ -14,9 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Literal
 
-from .errors import ScaleGuard
-from .randtest import p_one_sided, p_two_sided
-from .tables import ObservedTable, PotentialTable
+from exactci import ObservedTable, PotentialTable, ScaleGuard, p_one_sided, p_two_sided
 
 __all__ = [
     "units_from_table",

@@ -1,16 +1,89 @@
-"""Hypergeometric probabilities and exact count-parameter intervals."""
+"""Exact count-parameter intervals, checked against reference probabilities.
 
+`HyperGeomSpec`, `pmf`, `tail_ge` and `tail_le` are exact reference
+hypergeometric probabilities; the package itself only compares tail sums on
+cleared denominators. The equal-tail interval, the shrink's starting point,
+is read from `hypergeom._equal_tail_tables`.
+"""
+
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from exactci import HyperGeomSpec, InvalidLevel, ci_count, pmf, tail_ge, tail_le
+from exactci import InvalidLevel, ci_count
+from exactci.hypergeom import _equal_tail_tables
 
 ALPHAS = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 # levels the count-based methods ask for: alpha itself (margin inversion)
 # and alpha/2 for each margin (Bonferroni)
 METHOD_ALPHAS = tuple(sorted(set(ALPHAS) | {alpha / 2 for alpha in ALPHAS}))
+
+
+@dataclass(frozen=True)
+class HyperGeomSpec:
+    """Parameters (marked, total, sample) of a hypergeometric draw."""
+
+    marked: int
+    total: int
+    sample: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.marked <= self.total:
+            raise ValueError(f"need 0 <= marked <= total, got {self}")
+        if not 0 <= self.sample <= self.total:
+            raise ValueError(f"need 0 <= sample <= total, got {self}")
+
+    @property
+    def support(self) -> tuple[int, int]:
+        lo = max(0, self.sample - (self.total - self.marked))
+        hi = min(self.sample, self.marked)
+        return (lo, hi)
+
+
+def _weight(marked: int, total: int, sample: int, x: int) -> int:
+    """Unnormalized pmf numerator C(marked, x) * C(total-marked, sample-x)."""
+    return comb(marked, x) * comb(total - marked, sample - x)
+
+
+def pmf(spec: HyperGeomSpec, x: int) -> Fraction:
+    """P(X = x), exact; zero off the support."""
+    lo, hi = spec.support
+    if x < lo or x > hi:
+        return Fraction(0)
+    return Fraction(
+        _weight(spec.marked, spec.total, spec.sample, x),
+        comb(spec.total, spec.sample),
+    )
+
+
+def tail_ge(spec: HyperGeomSpec, x: int) -> Fraction:
+    """P(X >= x), exact; nondecreasing in the marked count."""
+    lo, hi = spec.support
+    if x <= lo:
+        return Fraction(1)
+    if x > hi:
+        return Fraction(0)
+    num = sum(_weight(spec.marked, spec.total, spec.sample, j) for j in range(x, hi + 1))
+    return Fraction(num, comb(spec.total, spec.sample))
+
+
+def tail_le(spec: HyperGeomSpec, x: int) -> Fraction:
+    """P(X <= x), exact; nonincreasing in the marked count."""
+    lo, hi = spec.support
+    if x >= hi:
+        return Fraction(1)
+    if x < lo:
+        return Fraction(0)
+    num = sum(_weight(spec.marked, spec.total, spec.sample, j) for j in range(lo, x + 1))
+    return Fraction(num, comb(spec.total, spec.sample))
+
+
+def equal_tail(total: int, sample: int, x: int, alpha: Fraction) -> tuple[int, int]:
+    """The equal-tail interval: every marked count with both tails above alpha/2."""
+    los, his = _equal_tail_tables(total, sample, alpha)
+    return los[x], his[x]
 
 
 def direct_tail_ge(spec: HyperGeomSpec, x: int) -> Fraction:
@@ -78,8 +151,8 @@ class TestCiCount:
     def test_extreme_observations(self):
         for total, sample in [(10, 4), (16, 2), (25, 12)]:
             for alpha in ALPHAS:
-                lo, _ = ci_count(total, sample, 0, alpha)
-                _, hi = ci_count(total, sample, sample, alpha)
+                lo, _ = equal_tail(total, sample, 0, alpha)
+                _, hi = equal_tail(total, sample, sample, alpha)
                 assert lo == 0
                 assert hi == total
 
@@ -94,12 +167,12 @@ class TestCiCount:
                 if tail_ge(HyperGeomSpec(marked, total, sample), x) > alpha / 2
                 and tail_le(HyperGeomSpec(marked, total, sample), x) > alpha / 2
             ]
-            assert ci_count(total, sample, x, alpha) == (min(kept), max(kept))
+            assert equal_tail(total, sample, x, alpha) == (min(kept), max(kept))
 
     def test_monotone_in_observation(self):
         for total, sample in [(14, 5), (20, 20), (30, 11)]:
             for alpha in ALPHAS:
-                endpoints = [ci_count(total, sample, x, alpha) for x in range(sample + 1)]
+                endpoints = [equal_tail(total, sample, x, alpha) for x in range(sample + 1)]
                 los = [e[0] for e in endpoints]
                 his = [e[1] for e in endpoints]
                 assert los == sorted(los)
@@ -109,10 +182,15 @@ class TestCiCount:
         for total, sample, x in [(14, 5, 2), (20, 9, 9), (33, 12, 0)]:
             prev = None
             for alpha in sorted(ALPHAS):  # smallest alpha first: widest interval
-                lo, hi = ci_count(total, sample, x, alpha)
+                lo, hi = equal_tail(total, sample, x, alpha)
                 if prev is not None:  # smaller alpha gave a superset interval
                     assert prev[0] <= lo and hi <= prev[1]
                 prev = (lo, hi)
+
+    def test_returns_the_shrunk_interval(self):
+        # the shrink lowers the upper end here; the equal-tail interval is wider
+        assert equal_tail(24, 12, 5, Fraction(1, 20)) == (6, 15)
+        assert ci_count(24, 12, 5, Fraction(1, 20)) == (6, 14)
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidLevel):
@@ -122,8 +200,12 @@ class TestCiCount:
 
 
 def exhaustive_coverage_ok(total: int, sample: int, alpha: Fraction, refine: bool) -> bool:
-    """Coverage >= 1 - alpha for every marked count, on cleared denominators."""
-    endpoints = [ci_count(total, sample, x, alpha, refine=refine) for x in range(sample + 1)]
+    """Coverage >= 1 - alpha for every marked count, on cleared denominators.
+
+    refine=False checks the equal-tail intervals, refine=True `ci_count`.
+    """
+    interval = ci_count if refine else equal_tail
+    endpoints = [interval(total, sample, x, alpha) for x in range(sample + 1)]
     cn = comb(total, sample)
     p, q = alpha.numerator, alpha.denominator
     for marked in range(total + 1):
@@ -158,7 +240,7 @@ class TestCoverage:
                 for x in range(sample + 1):
                     prev = None
                     for alpha in METHOD_ALPHAS:  # smallest alpha first: widest interval
-                        lo, hi = ci_count(total, sample, x, alpha, refine=True)
+                        lo, hi = ci_count(total, sample, x, alpha)
                         if prev is not None:
                             assert prev[0] <= lo and hi <= prev[1], (total, sample, x, alpha)
                         prev = (lo, hi)
@@ -167,8 +249,8 @@ class TestCoverage:
         for total, sample in [(16, 2), (20, 12), (23, 23)]:
             for alpha in ALPHAS:
                 for x in range(sample + 1):
-                    lo, hi = ci_count(total, sample, x, alpha)
-                    rlo, rhi = ci_count(total, sample, x, alpha, refine=True)
+                    lo, hi = equal_tail(total, sample, x, alpha)
+                    rlo, rhi = ci_count(total, sample, x, alpha)
                     assert lo <= rlo <= rhi <= hi
 
     def test_refined_is_outcome_switch_symmetric(self):
@@ -177,6 +259,6 @@ class TestCoverage:
         for total in range(1, 41):
             for sample in range(total + 1):
                 for alpha in METHOD_ALPHAS:
-                    ends = [ci_count(total, sample, x, alpha, refine=True) for x in range(sample + 1)]
+                    ends = [ci_count(total, sample, x, alpha) for x in range(sample + 1)]
                     for x in range(sample + 1):
                         assert ends[x][0] == total - ends[sample - x][1], (total, sample, alpha, x)

@@ -140,7 +140,7 @@ class TestOneSided:
 def margin_inversion_reference(nobs: ObservedTable, alpha: Fraction) -> tuple[int, int]:
     """The definition: extreme n*tau over the compatible tables whose
     control-response margin lies in the count interval."""
-    g_lo, g_hi = ci_count(nobs.n, nobs.n - nobs.m, nobs.n01, alpha, refine=True)
+    g_lo, g_hi = ci_count(nobs.n, nobs.n - nobs.m, nobs.n01, alpha)
     accepted = [N.ntau for N in enumerate_compatible(nobs) if g_lo <= N.nplus1 <= g_hi]
     return (min(accepted), max(accepted))
 
@@ -218,6 +218,15 @@ class TestGeneralInvariants:
     def test_invalid_alpha(self):
         with pytest.raises(InvalidLevel):
             ci_brute_force(ObservedTable(1, 1, 1, 1), Fraction(1))
+
+    def test_float_alpha_is_its_decimal_literal(self):
+        # 0.1 is read as 1/10, as the CLI reads "0.1"; its binary value is
+        # slightly above 1/10 and would reject a p-value of exactly 1/10
+        nobs = ObservedTable(0, 2, 0, 3)
+        for construction in (ci_two_sided_frontier, ci_margin_inversion):
+            res = construction(nobs, 0.1)
+            assert res.alpha == Fraction(1, 10)
+            assert res.ci_ntau == construction(nobs, Fraction(1, 10)).ci_ntau == (-2, 3)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from exactci import ObservedTable, PotentialTable, ScaleGuard, frontier_scan
-from exactci.oracle import (
+
+from conftest import observed_tables
+from oracle import (
     brute_compatibility,
     brute_frontier,
     enumerate_assignments,
     units_from_table,
 )
-
-from conftest import observed_tables
 
 
 class TestUnits:

@@ -21,11 +21,11 @@ from exactci import (
     p_one_sided,
     p_two_sided,
 )
-from exactci.oracle import enumerate_assignments, units_from_table
 from exactci import randtest
 from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
 
 from conftest import observed_tables, potential_tables
+from oracle import enumerate_assignments, units_from_table
 
 
 def definitional_p(N, nobs, dist=None):

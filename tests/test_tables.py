@@ -7,8 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exactci import (
-    CONTROL_SIDE_MOVES,
-    MOVES,
     DegenerateArm,
     ObservedTable,
     PotentialTable,
@@ -19,7 +17,7 @@ from exactci import (
 )
 from exactci.tables import compatible_n10, iter_cell_decompositions
 
-from conftest import observed_tables
+from conftest import CONTROL_SIDE_MOVES, MOVES, observed_tables, shifted
 
 cell = st.integers(min_value=0, max_value=8)
 
@@ -63,19 +61,19 @@ class TestPotentialTable:
     def test_shifted_applies_moves(self):
         N = PotentialTable(2, 2, 2, 2)
         for mv in MOVES:
-            shifted = N.shifted(mv.delta)
-            assert shifted is not None
-            assert shifted.n == N.n
-            assert shifted.ntau == N.ntau + 1
+            neighbor = shifted(N, mv.delta)
+            assert neighbor is not None
+            assert neighbor.n == N.n
+            assert neighbor.ntau == N.ntau + 1
 
     def test_shifted_rejects_negative_cells(self):
-        assert PotentialTable(0, 0, 0, 4).shifted((-1, 1, 0, 0)) is None
+        assert shifted(PotentialTable(0, 0, 0, 4), (-1, 1, 0, 0)) is None
 
     def test_control_side_moves_keep_treated_margin(self):
         N = PotentialTable(2, 2, 2, 2)
         for mv in CONTROL_SIDE_MOVES:
-            shifted = N.shifted(mv.delta)
-            assert shifted.nplus1 == N.nplus1 - 1
+            neighbor = shifted(N, mv.delta)
+            assert neighbor.nplus1 == N.nplus1 - 1
         assert len(CONTROL_SIDE_MOVES) == 2
 
 
