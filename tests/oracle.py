@@ -3,7 +3,8 @@
 Everything here recomputes quantities from first principles: assignment
 distributions by iterating every size-m subset of an explicit unit list,
 compatibility by scanning candidate integer solutions, and acceptance
-frontiers by testing every N10 directly against the defining condition.
+frontiers by testing every N10 directly against the defining condition,
+and exact coverage by visiting every treated-count split of every true table.
 Deliberately slow; used only to cross-check the fast paths.
 """
 
@@ -12,15 +13,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Literal
+from typing import Callable, Literal
 
-from exactci import ObservedTable, PotentialTable, ScaleGuard, p_one_sided, p_two_sided
+from exactci import (
+    CoverageReport,
+    ObservedTable,
+    PotentialTable,
+    ScaleGuard,
+    p_one_sided,
+    p_two_sided,
+)
+from exactci.randtest import _iter_splits
 
 __all__ = [
     "units_from_table",
     "enumerate_assignments",
     "brute_compatibility",
     "brute_frontier",
+    "induced_observed",
+    "coverage_by_splits",
 ]
 
 MAX_ENUM_N = 14
@@ -95,3 +106,49 @@ def brute_frontier(
     if statistic == "two_sided":
         return math.floor(N01 + ntau_obs) + 1
     return n + 1
+
+
+def _iter_potential_tables(n: int):
+    for N11 in range(n + 1):
+        for N10 in range(n - N11 + 1):
+            for N01 in range(n - N11 - N10 + 1):
+                yield PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
+
+
+def induced_observed(
+    N: PotentialTable, m: int, split: tuple[int, int, int, int]
+) -> ObservedTable:
+    """Observed table produced by N under a given treated-count split."""
+    x11, x10, x01, _ = split
+    n11 = x11 + x10
+    n01 = (N.N11 - x11) + (N.N01 - x01)
+    return ObservedTable(n11, m - n11, n01, N.n - m - n01)
+
+
+def coverage_by_splits(
+    n: int,
+    m: int,
+    alpha: Fraction,
+    ci_fn: Callable[[ObservedTable], tuple[int, int]],
+) -> CoverageReport:
+    """Exact coverage of ci_fn, split by split: O(n^3) splits per true table.
+
+    Every split of every true table builds its induced observed table and
+    looks its interval up, computing it on first sight.
+    """
+    cache: dict[tuple[int, int, int, int], tuple[int, int]] = {}
+    cn = math.comb(n, m)
+    rows = []
+    for N in _iter_potential_tables(n):
+        covered = 0
+        for x11, x10, x01, x00, w in _iter_splits(N, m):
+            nobs = induced_observed(N, m, (x11, x10, x01, x00))
+            key = nobs.as_tuple()
+            ci = cache.get(key)
+            if ci is None:
+                ci = ci_fn(nobs)
+                cache[key] = ci
+            if ci[0] <= N.ntau <= ci[1]:
+                covered += w
+        rows.append((N, Fraction(covered, cn)))
+    return CoverageReport(n, m, Fraction(alpha), tuple(rows))
