@@ -13,9 +13,21 @@ Five constructions, all with guaranteed finite-sample coverage:
   O(n^4)-tests baseline and the reference the frontier method is checked
   against.
 
-Every result carries the count of randomization tests performed (one test =
-one p-value evaluation for one candidate table; frontier fallback assignments
-count zero).
+Every result carries the count of randomization tests its construction
+needs for that table (one test = one p-value evaluation for one candidate
+table; frontier fallback assignments count zero). A table that is its own
+outcome-label mirror needs one frontier scan for both sides, so it counts one.
+
+The frontier constructions read each scan through a private cache of scan
+summaries (the least and greatest accepted n*tau, or none, and the scan's
+test count), keyed by (scanned table, alpha, statistic, mode). It holds the
+newest `_SCAN_CACHE_SIZE` (8,192) entries, about 4 MB when full. The upper
+side of X is the lower side of X's outcome-label mirror, and a design with
+m > n - m is scanned through its treatment-label conjugate, so across a
+coverage sweep or a batch these constructions share one scan. A cached scan
+still counts its tests in every result that reads it, and the exact-size
+guard is checked on every call before the cache is read, so neither the
+result nor a refusal depends on what is cached.
 """
 
 from __future__ import annotations
@@ -23,11 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Literal
 
 from .errors import EmptyAcceptance
 from .hypergeom import _check_alpha, ci_count
-from .randtest import PValueMode, make_p_evaluator
+from .randtest import PValueMode, _guard, make_p_evaluator
 from .tables import (
     ObservedTable,
     PotentialTable,
@@ -137,6 +150,41 @@ def frontier_scan(
     return out
 
 
+#: Scan summaries kept by `_scan_summary`; an entry takes about 500 bytes.
+_SCAN_CACHE_SIZE = 1 << 13
+
+
+@lru_cache(maxsize=_SCAN_CACHE_SIZE)
+def _scan_summary(
+    cells: tuple[int, int, int, int],
+    alpha: Fraction,
+    statistic: Literal["one_sided", "two_sided"],
+    mode: PValueMode,
+) -> tuple[tuple[int, int] | None, int]:
+    """(least and greatest accepted n*tau, or None, tests) of one frontier scan.
+
+    `frontier_scan` is looked up by module name on a miss, so a wrapper set
+    on that name sees every scan that runs. Callers check alpha and the
+    exact-size guard first.
+    """
+    scan = frontier_scan(ObservedTable(*cells), alpha, statistic, mode)
+    accepted = scan.accepted_ntau
+    return ((min(accepted), max(accepted)) if accepted else None), scan.tests
+
+
+def _check_scan_call(nobs: ObservedTable, alpha: Fraction, mode: PValueMode) -> Fraction:
+    """Checked alpha of a frontier construction; refuses what its scans would refuse.
+
+    Every scan tests at least one table, so an exact-mode call on a table
+    above the size limit raises `ScaleGuard` (and an invalid limit a
+    `ValueError`) whether or not its scans are cached.
+    """
+    alpha = _check_alpha(alpha)
+    if mode.variant == "exact":
+        _guard(nobs.n)
+    return alpha
+
+
 def ci_bonferroni(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Intersect marginal count intervals for the two response totals.
 
@@ -183,20 +231,26 @@ def ci_two_sided_frontier(
 
     The side below the observed estimate is scanned directly; the side above
     is the same scan after switching outcome labels (which negates effects).
-    Designs with m > n - m are conjugated by a treatment label switch.
+    Designs with m > n - m are conjugated by a treatment label switch. A
+    table that is its own outcome-label mirror is scanned once for both
+    sides.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_scan_call(nobs, alpha, mode)
     switched = nobs.m > nobs.n - nobs.m
     work = nobs.switch_z() if switched else nobs
-    below = frontier_scan(work, alpha, "two_sided", mode)
-    above = frontier_scan(work.switch_y(), alpha, "two_sided", mode)
-    accepted = below.accepted_ntau | {-k for k in above.accepted_ntau}
-    if switched:
-        accepted = {-k for k in accepted}
-    if not accepted:
+    mirror = work.switch_y()
+    below, tests = _scan_summary(work.as_tuple(), alpha, "two_sided", mode)
+    above = below
+    if mirror != work:
+        above, above_tests = _scan_summary(mirror.as_tuple(), alpha, "two_sided", mode)
+        tests += above_tests
+    ends = [*(below or ()), *(-k for k in above or ())]
+    if not ends:
         raise EmptyAcceptance("two-sided frontier accepted no compatible table")
-    ci = (min(accepted), max(accepted))
-    return MethodResult("two_sided_frontier", nobs, alpha, ci, below.tests + above.tests, mode.variant)
+    lo, hi = min(ends), max(ends)
+    if switched:
+        lo, hi = -hi, -lo
+    return MethodResult("two_sided_frontier", nobs, alpha, (lo, hi), tests, mode.variant)
 
 
 def ci_one_sided(
@@ -210,17 +264,17 @@ def ci_one_sided(
     The lower interval always reaches up to the maximum attainable effect
     (n11 + n00)/n; the upper interval is the outcome-label conjugate.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _check_scan_call(nobs, alpha, mode)
     work = nobs if direction == "lower" else nobs.switch_y()
-    scan = frontier_scan(work, alpha, "one_sided", mode)
-    if not scan.accepted_ntau:
+    accepted, tests = _scan_summary(work.as_tuple(), alpha, "one_sided", mode)
+    if accepted is None:
         raise EmptyAcceptance("one-sided frontier accepted no compatible table")
-    lo = min(scan.accepted_ntau)
+    lo = accepted[0]
     hi = work.n11 + work.n00
     if direction == "upper":
         lo, hi = -hi, -lo
     method = "one_sided_lower" if direction == "lower" else "one_sided_upper"
-    return MethodResult(method, nobs, alpha, (lo, hi), scan.tests, mode.variant)
+    return MethodResult(method, nobs, alpha, (lo, hi), tests, mode.variant)
 
 
 def ci_brute_force(

@@ -108,6 +108,16 @@ class TestCompute:
         assert res.exit_code == EXIT_VALIDATION
         assert "EXACTCI_MAX_EXACT_N" in res.stderr
 
+    def test_guards_hold_for_cached_scans(self, runner, monkeypatch):
+        # the scans of (4,4,4,4) are cached by the first call; the limit
+        # and its validation still apply to every later call
+        args = ["compute", "--table", "4,4,4,4", "--method", "two-sided"]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "10")
+        assert runner.invoke(main, args).exit_code == EXIT_SCALE
+        monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "abc")
+        assert runner.invoke(main, args).exit_code == EXIT_VALIDATION
+
     def test_monte_carlo_mode(self, runner):
         res = runner.invoke(
             main,

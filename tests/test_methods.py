@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import observed_tables
+from conftest import accepted_ntau_two_sided, observed_tables
 from test_acceptance import BONFERRONI_PUBLISHED, MARGIN_PUBLISHED
 
 from exactci import (
@@ -19,7 +19,9 @@ from exactci import (
     compute_ci,
     enumerate_compatible,
 )
-from exactci.errors import InvalidLevel
+from exactci import methods, randtest
+from exactci.errors import InvalidLevel, ScaleGuard
+from exactci.methods import frontier_scan
 
 ALPHA = Fraction(1, 20)
 
@@ -242,3 +244,115 @@ class TestGeneralInvariants:
         # generous band: estimates at this rep count rarely flip a decision
         assert abs(mc.ci_ntau[0] - exact.ci_ntau[0]) <= 1
         assert abs(mc.ci_ntau[1] - exact.ci_ntau[1]) <= 1
+
+
+@pytest.fixture
+def cold_scans():
+    """An empty scan-summary cache before the test and after it."""
+    methods._scan_summary.cache_clear()
+    yield
+    methods._scan_summary.cache_clear()
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call of randtest's p-value function `name`."""
+    calls = []
+    fn = getattr(randtest, name)
+    monkeypatch.setattr(randtest, name, lambda N, nobs: calls.append(N) or fn(N, nobs))
+    return calls
+
+
+class TestScanReuse:
+    """Frontier scans are shared through the cache; results never depend on it."""
+
+    def test_self_mirror_scans_once(self, cold_scans):
+        # (20,20,20,20) reported 5,002 tests for 2,501 distinct ones before the
+        # second side reused the first; (3,3,2,2) mirrors itself after the
+        # treatment-label switch
+        for cells, ci, tests in (
+            ((20, 20, 20, 20), (-16, 16), 2501),
+            ((4, 4, 4, 4), (-6, 6), 117),
+            ((3, 3, 2, 2), (-5, 5), 51),
+        ):
+            nobs = ObservedTable(*cells)
+            res = ci_two_sided_frontier(nobs, ALPHA)
+            work = nobs.switch_z() if nobs.m > nobs.n - nobs.m else nobs
+            assert work.switch_y() == work
+            assert (res.ci_ntau, res.tests) == (ci, tests), cells
+            assert res.tests == frontier_scan(work, ALPHA, "two_sided").tests
+
+    def test_cold_and_warm_results_identical(self, cold_scans):
+        tables = [ObservedTable(*cells) for cells in (*SIX_TABLES, (5, 4, 1, 2), (4, 4, 4, 4))]
+        constructions = (
+            lambda nobs: ci_two_sided_frontier(nobs, ALPHA),
+            lambda nobs: ci_one_sided(nobs, ALPHA, "lower"),
+            lambda nobs: ci_one_sided(nobs, ALPHA, "upper"),
+        )
+        for nobs in tables:
+            for construct in constructions:
+                methods._scan_summary.cache_clear()
+                cold = construct(nobs)
+                warm = construct(nobs)
+                assert warm == cold and repr(warm) == repr(cold), nobs
+
+    def test_matches_direct_scans_n10(self, cold_scans):
+        # every observed table with n <= 10: intervals are the scans' extremes
+        # and test counts are the scans' own, one scan for a self-mirror
+        for n in range(2, 11):
+            for nobs in observed_tables(n):
+                for alpha in (Fraction(1, 10), ALPHA):
+                    work = nobs.switch_z() if nobs.m > n - nobs.m else nobs
+                    accepted = accepted_ntau_two_sided(nobs, alpha)
+                    sides = {work, work.switch_y()}
+                    tests = sum(frontier_scan(side, alpha, "two_sided").tests for side in sides)
+                    res = ci_two_sided_frontier(nobs, alpha)
+                    assert res.ci_ntau == (min(accepted), max(accepted)), (nobs, alpha)
+                    assert res.tests == tests, (nobs, alpha)
+                    for direction, scanned in (("lower", nobs), ("upper", nobs.switch_y())):
+                        scan = frontier_scan(scanned, alpha, "one_sided")
+                        lo = min(scan.accepted_ntau)
+                        hi = scanned.n11 + scanned.n00
+                        want = (lo, hi) if direction == "lower" else (-hi, -lo)
+                        res = ci_one_sided(nobs, alpha, direction)
+                        assert (res.ci_ntau, res.tests) == (want, scan.tests), (nobs, alpha, direction)
+
+    def test_mirror_and_conjugate_run_no_tests(self, cold_scans, monkeypatch):
+        calls = count_calls(monkeypatch, "p_two_sided")
+        for cells in ((6, 4, 4, 6), (5, 4, 1, 2)):
+            nobs = ObservedTable(*cells)
+            first = ci_two_sided_frontier(nobs, ALPHA)
+            assert len(calls) == first.tests > 0
+            calls.clear()
+            relatives = [nobs.switch_y()]
+            if nobs.m > nobs.n - nobs.m:  # scanned through its conjugate
+                relatives += [nobs.switch_z(), nobs.switch_z().switch_y()]
+            for other in relatives:
+                res = ci_two_sided_frontier(other, ALPHA)
+                assert res.tests == first.tests, other
+            assert calls == []
+
+    def test_upper_reuses_mirror_lower(self, cold_scans, monkeypatch):
+        calls = count_calls(monkeypatch, "p_one_sided")
+        nobs = ObservedTable(8, 4, 5, 7)
+        lower = ci_one_sided(nobs, ALPHA, "lower")
+        calls.clear()
+        upper = ci_one_sided(nobs.switch_y(), ALPHA, "upper")
+        assert calls == []
+        assert upper.tests == lower.tests
+        assert upper.ci_ntau == (-lower.ci_ntau[1], -lower.ci_ntau[0])
+
+    def test_guard_checked_before_cache(self, monkeypatch):
+        nobs = ObservedTable(4, 4, 4, 4)
+        ci_two_sided_frontier(nobs, ALPHA)
+        ci_one_sided(nobs, ALPHA)
+        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "10")
+        with pytest.raises(ScaleGuard):
+            ci_two_sided_frontier(nobs, ALPHA)
+        with pytest.raises(ScaleGuard):
+            ci_one_sided(nobs, ALPHA)
+        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "abc")
+        with pytest.raises(ValueError):
+            ci_two_sided_frontier(nobs, ALPHA)
+
+    def test_cache_is_bounded(self):
+        assert methods._scan_summary.cache_info().maxsize == methods._SCAN_CACHE_SIZE
