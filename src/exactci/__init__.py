@@ -25,7 +25,7 @@ from .methods import (
     compute_ci,
     frontier_scan,
 )
-from .randtest import PValueMode, mc_p, null_dist, p_one_sided, p_two_sided
+from .randtest import null_dist, p_one_sided, p_two_sided
 from .tables import (
     ObservedTable,
     PotentialTable,
@@ -46,8 +46,6 @@ __all__ = [
     "null_dist",
     "p_one_sided",
     "p_two_sided",
-    "mc_p",
-    "PValueMode",
     "MethodResult",
     "METHODS",
     "compute_ci",

@@ -2,7 +2,8 @@
 
 Subcommands: compute (one table, one method), batch (CSV in/out), enumerate
 (compatible potential tables), coverage (exact coverage sweep over all true
-tables for a design), bench (test-count and wall-time comparison).
+tables for a design). Every p-value is exact; compute and batch report the
+number of randomization tests each interval took.
 
 Alpha is parsed exactly: decimal strings become the rational of the literal
 ("0.05" -> 1/20) and "a/b" fractions are taken as-is.
@@ -17,7 +18,6 @@ import csv
 import io
 import json
 import sys
-import time
 from fractions import Fraction
 
 import click
@@ -25,7 +25,7 @@ import click
 from .coverage import exact_coverage_sweep
 from .errors import ExactCIError, ScaleGuard
 from .methods import METHODS, MethodResult, compute_ci
-from .randtest import PValueMode, p_two_sided
+from .randtest import p_two_sided
 from .tables import ObservedTable, enumerate_compatible
 
 EXIT_VALIDATION = 2
@@ -60,14 +60,13 @@ def result_to_dict(result: MethodResult) -> dict:
         "ci_tau": [str(result.ci_tau[0]), str(result.ci_tau[1])],
         "ci_ntau": [result.ci_ntau[0], result.ci_ntau[1]],
         "tests": result.tests,
-        "mode": result.mode,
     }
 
 
 def _render_text(result: MethodResult, scale: str) -> str:
     lines = [
         f"table:  {result.table.as_tuple()}  (n={result.table.n}, m={result.table.m})",
-        f"method: {result.method}  alpha={result.alpha}  mode={result.mode}",
+        f"method: {result.method}  alpha={result.alpha}",
     ]
     if scale in ("tau", "both"):
         lines.append(f"ci_tau:  [{result.ci_tau[0]}, {result.ci_tau[1]}]")
@@ -98,31 +97,21 @@ def main() -> None:
 
 _table_opt = click.option("--table", "table_str", required=True, help="counts n11,n10,n01,n00")
 _alpha_opt = click.option("--alpha", "alpha_str", default="0.05", show_default=True)
-_mode_opt = click.option("--mode", type=click.Choice(["exact", "mc"]), default="exact", show_default=True)
-_reps_opt = click.option("--reps", type=int, default=10_000, show_default=True)
-_seed_opt = click.option("--seed", type=int, default=0, show_default=True)
-
-
-def _pvalue_mode(mode: str, reps: int, seed: int) -> PValueMode:
-    return PValueMode.exact() if mode == "exact" else PValueMode.monte_carlo(reps, seed)
 
 
 @main.command()
 @_table_opt
 @_alpha_opt
 @click.option("--method", type=click.Choice(sorted(METHOD_BY_NAME)), required=True)
-@_mode_opt
-@_reps_opt
-@_seed_opt
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
 @click.option("--scale", type=click.Choice(["tau", "ntau", "both"]), default="both", show_default=True)
-def compute(table_str, alpha_str, method, mode, reps, seed, fmt, scale) -> None:
+def compute(table_str, alpha_str, method, fmt, scale) -> None:
     """Confidence interval for a single observed table."""
 
     def run() -> MethodResult:
         nobs = parse_table(table_str)
         alpha = parse_alpha(alpha_str)
-        return compute_ci(METHOD_BY_NAME[method], nobs, alpha, _pvalue_mode(mode, reps, seed))
+        return compute_ci(METHOD_BY_NAME[method], nobs, alpha)
 
     result = _run_guarded(run)
     if fmt == "json":
@@ -139,7 +128,7 @@ def compute(table_str, alpha_str, method, mode, reps, seed, fmt, scale) -> None:
 
 _CSV_HEADER = [
     "n11", "n10", "n01", "n00", "alpha", "method",
-    "ci_tau_lo", "ci_tau_hi", "ci_ntau_lo", "ci_ntau_hi", "tests", "mode",
+    "ci_tau_lo", "ci_tau_hi", "ci_ntau_lo", "ci_ntau_hi", "tests",
 ]
 
 
@@ -149,7 +138,7 @@ def _csv_row(result: MethodResult) -> list:
         t.n11, t.n10, t.n01, t.n00, str(result.alpha), result.method,
         str(result.ci_tau[0]), str(result.ci_tau[1]),
         result.ci_ntau[0], result.ci_ntau[1],
-        result.tests, result.mode,
+        result.tests,
     ]
 
 
@@ -157,10 +146,7 @@ def _csv_row(result: MethodResult) -> list:
 @click.argument("input_file", type=click.Path())
 @click.option("--output", "output_file", type=click.Path(), default="-", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@_mode_opt
-@_reps_opt
-@_seed_opt
-def batch(input_file, output_file, fmt, mode, reps, seed) -> None:
+def batch(input_file, output_file, fmt) -> None:
     """Run methods for each row of a CSV file (header: n11,n10,n01,n00,alpha,method).
 
     Output rows keep the input order. Malformed rows are reported with their
@@ -184,7 +170,7 @@ def batch(input_file, output_file, fmt, mode, reps, seed) -> None:
                 method = METHOD_BY_NAME.get(row["method"].strip())
                 if method is None:
                     raise ValueError(f"unknown method {row['method']!r}")
-                results.append(compute_ci(method, nobs, alpha, _pvalue_mode(mode, reps, seed)))
+                results.append(compute_ci(method, nobs, alpha))
             except (ExactCIError, ValueError, KeyError, TypeError) as exc:
                 click.echo(f"error: row {i}: {exc}", err=True)
                 failures += 1
@@ -271,44 +257,6 @@ def coverage(n, m, alpha_str, method) -> None:
             click.echo(f"  N={N.as_tuple()} coverage={c}", err=True)
         sys.exit(EXIT_COVERAGE)
     click.echo(f"all tables covered at >= {level}")
-
-
-@main.command()
-@click.option("--table", "table_strs", multiple=True, required=True, help="repeatable: counts n11,n10,n01,n00")
-@click.option(
-    "--method",
-    "methods",
-    multiple=True,
-    type=click.Choice(sorted(METHOD_BY_NAME)),
-    default=("two-sided", "brute-force"),
-    show_default=True,
-)
-@_alpha_opt
-def bench(table_strs, methods, alpha_str) -> None:
-    """Compare randomization-test counts and wall time across methods."""
-
-    def run():
-        alpha = parse_alpha(alpha_str)
-        return alpha, [parse_table(t) for t in table_strs]
-
-    alpha, tables = _run_guarded(run)
-    click.echo(f"{'table':<16} {'method':<16} {'ci_ntau':<12} {'tests':>7} {'bound':>7} {'ms':>9}")
-    for nobs in tables:
-        per_side_bound = (2 * nobs.n + 1) * (nobs.n + 1)
-        for name in methods:
-            start = time.perf_counter()
-            result = _run_guarded(
-                lambda name=name, nobs=nobs: compute_ci(METHOD_BY_NAME[name], nobs, alpha)
-            )
-            ms = (time.perf_counter() - start) * 1000.0
-            frontier = result.method in ("two_sided_frontier", "one_sided_lower", "one_sided_upper")
-            sides = 2 if result.method == "two_sided_frontier" else 1
-            bound = sides * per_side_bound if frontier else ""
-            ci = f"[{result.ci_ntau[0]},{result.ci_ntau[1]}]"
-            click.echo(
-                f"{str(nobs.as_tuple()):<16} {result.method:<16} {ci:<12} "
-                f"{result.tests:>7} {str(bound):>7} {ms:>9.1f}"
-            )
 
 
 if __name__ == "__main__":

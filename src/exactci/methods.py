@@ -20,7 +20,7 @@ outcome-label mirror needs one frontier scan for both sides, so it counts one.
 
 The frontier constructions read each scan through a private cache of scan
 summaries (the least and greatest accepted n*tau, or none, and the scan's
-test count), keyed by (scanned table, alpha, statistic, mode). It holds the
+test count), keyed by (scanned table, alpha, statistic). It holds the
 newest `_SCAN_CACHE_SIZE` (8,192) entries, about 4 MB when full. The upper
 side of X is the lower side of X's outcome-label mirror, and a design with
 m > n - m is scanned through its treatment-label conjugate, so across a
@@ -38,9 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Literal
 
+from . import randtest
 from .errors import EmptyAcceptance
 from .hypergeom import _check_alpha, ci_count
-from .randtest import PValueMode, _guard, make_p_evaluator
+from .randtest import _guard
 from .tables import (
     ObservedTable,
     PotentialTable,
@@ -74,7 +75,6 @@ class MethodResult:
     alpha: Fraction
     ci_ntau: tuple[int, int]
     tests: int
-    mode: str
 
     @property
     def ci_tau(self) -> tuple[Fraction, Fraction]:
@@ -100,7 +100,6 @@ def frontier_scan(
     nobs: ObservedTable,
     alpha: Fraction,
     statistic: Literal["one_sided", "two_sided"] = "two_sided",
-    mode: PValueMode = PValueMode.exact(),
 ) -> FrontierScan:
     """Lower-side acceptance sweep over (N11, N01) cells.
 
@@ -114,14 +113,15 @@ def frontier_scan(
     of a cell are one range.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
-    label switch otherwise.
+    label switch otherwise. The p-value function is looked up on `randtest`
+    once per scan, so a wrapper set on that name sees every test.
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
     if statistic == "two_sided" and m > n - m:
         raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
-    p_eval = make_p_evaluator(nobs, statistic, mode)
     two_sided = statistic == "two_sided"
+    p_value = randtest.p_two_sided if two_sided else randtest.p_one_sided
     ntau_obs = nobs.tau_hat * n
     floor_nt = math.floor(ntau_obs)  # exact: Fraction floor
     out = FrontierScan()
@@ -135,7 +135,7 @@ def frontier_scan(
             while N10 <= hi:
                 N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
                 out.tests += 1
-                if p_eval(N) >= alpha:
+                if p_value(N, nobs) >= alpha:
                     frontier = N10
                     break
                 N10 += 1
@@ -159,7 +159,6 @@ def _scan_summary(
     cells: tuple[int, int, int, int],
     alpha: Fraction,
     statistic: Literal["one_sided", "two_sided"],
-    mode: PValueMode,
 ) -> tuple[tuple[int, int] | None, int]:
     """(least and greatest accepted n*tau, or None, tests) of one frontier scan.
 
@@ -167,21 +166,20 @@ def _scan_summary(
     on that name sees every scan that runs. Callers check alpha and the
     exact-size guard first.
     """
-    scan = frontier_scan(ObservedTable(*cells), alpha, statistic, mode)
+    scan = frontier_scan(ObservedTable(*cells), alpha, statistic)
     accepted = scan.accepted_ntau
     return ((min(accepted), max(accepted)) if accepted else None), scan.tests
 
 
-def _check_scan_call(nobs: ObservedTable, alpha: Fraction, mode: PValueMode) -> Fraction:
+def _check_scan_call(nobs: ObservedTable, alpha: Fraction) -> Fraction:
     """Checked alpha of a frontier construction; refuses what its scans would refuse.
 
-    Every scan tests at least one table, so an exact-mode call on a table
-    above the size limit raises `ScaleGuard` (and an invalid limit a
-    `ValueError`) whether or not its scans are cached.
+    Every scan tests at least one table, so a call on a table above the size
+    limit raises `ScaleGuard` (and an invalid limit a `ValueError`) whether
+    or not its scans are cached.
     """
     alpha = _check_alpha(alpha)
-    if mode.variant == "exact":
-        _guard(nobs.n)
+    _guard(nobs.n)
     return alpha
 
 
@@ -198,7 +196,7 @@ def ci_bonferroni(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     c_lo, c_hi = ci_count(n, n - m, nobs.n01, alpha / 2)
     a_lo, a_hi = attainable_ntau_range(nobs)
     ci = (max(t_lo - c_hi, a_lo), min(t_hi - c_lo, a_hi))
-    return MethodResult("bonferroni", nobs, alpha, ci, 0, "exact")
+    return MethodResult("bonferroni", nobs, alpha, ci, 0)
 
 
 def ci_margin_inversion(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
@@ -219,14 +217,10 @@ def ci_margin_inversion(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     n, m = nobs.n, nobs.m
     g_lo, g_hi = ci_count(n, n - m, nobs.n01, alpha)
     ci = (nobs.n11 - g_hi, n - nobs.n10 - g_lo)
-    return MethodResult("margin_inversion", nobs, alpha, ci, 0, "exact")
+    return MethodResult("margin_inversion", nobs, alpha, ci, 0)
 
 
-def ci_two_sided_frontier(
-    nobs: ObservedTable,
-    alpha: Fraction,
-    mode: PValueMode = PValueMode.exact(),
-) -> MethodResult:
+def ci_two_sided_frontier(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Two-sided randomization-test inversion via the monotone frontier.
 
     The side below the observed estimate is scanned directly; the side above
@@ -235,14 +229,14 @@ def ci_two_sided_frontier(
     table that is its own outcome-label mirror is scanned once for both
     sides.
     """
-    alpha = _check_scan_call(nobs, alpha, mode)
+    alpha = _check_scan_call(nobs, alpha)
     switched = nobs.m > nobs.n - nobs.m
     work = nobs.switch_z() if switched else nobs
     mirror = work.switch_y()
-    below, tests = _scan_summary(work.as_tuple(), alpha, "two_sided", mode)
+    below, tests = _scan_summary(work.as_tuple(), alpha, "two_sided")
     above = below
     if mirror != work:
-        above, above_tests = _scan_summary(mirror.as_tuple(), alpha, "two_sided", mode)
+        above, above_tests = _scan_summary(mirror.as_tuple(), alpha, "two_sided")
         tests += above_tests
     ends = [*(below or ()), *(-k for k in above or ())]
     if not ends:
@@ -250,23 +244,22 @@ def ci_two_sided_frontier(
     lo, hi = min(ends), max(ends)
     if switched:
         lo, hi = -hi, -lo
-    return MethodResult("two_sided_frontier", nobs, alpha, (lo, hi), tests, mode.variant)
+    return MethodResult("two_sided_frontier", nobs, alpha, (lo, hi), tests)
 
 
 def ci_one_sided(
     nobs: ObservedTable,
     alpha: Fraction,
     direction: Literal["lower", "upper"] = "lower",
-    mode: PValueMode = PValueMode.exact(),
 ) -> MethodResult:
     """One-sided randomization-test inversion via the monotone frontier.
 
     The lower interval always reaches up to the maximum attainable effect
     (n11 + n00)/n; the upper interval is the outcome-label conjugate.
     """
-    alpha = _check_scan_call(nobs, alpha, mode)
+    alpha = _check_scan_call(nobs, alpha)
     work = nobs if direction == "lower" else nobs.switch_y()
-    accepted, tests = _scan_summary(work.as_tuple(), alpha, "one_sided", mode)
+    accepted, tests = _scan_summary(work.as_tuple(), alpha, "one_sided")
     if accepted is None:
         raise EmptyAcceptance("one-sided frontier accepted no compatible table")
     lo = accepted[0]
@@ -274,14 +267,10 @@ def ci_one_sided(
     if direction == "upper":
         lo, hi = -hi, -lo
     method = "one_sided_lower" if direction == "lower" else "one_sided_upper"
-    return MethodResult(method, nobs, alpha, (lo, hi), tests, mode.variant)
+    return MethodResult(method, nobs, alpha, (lo, hi), tests)
 
 
-def ci_brute_force(
-    nobs: ObservedTable,
-    alpha: Fraction,
-    mode: PValueMode = PValueMode.exact(),
-) -> MethodResult:
+def ci_brute_force(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Test every compatible potential table; reference implementation.
 
     Candidates come from the cell-wise decomposition enumeration, one
@@ -289,36 +278,31 @@ def ci_brute_force(
     (duplicated tables are retested, as in the classical baseline).
     """
     alpha = _check_alpha(alpha)
-    p_eval = make_p_evaluator(nobs, "two_sided", mode)
+    p_value = randtest.p_two_sided  # looked up once, so a wrapper sees every test
     accepted, tests = [], 0
     for N in iter_cell_decompositions(nobs):
         tests += 1
-        if p_eval(N) >= alpha:
+        if p_value(N, nobs) >= alpha:
             accepted.append(N.ntau)
     if not accepted:
         raise EmptyAcceptance("no compatible table accepted at this level")
-    return MethodResult("brute_force", nobs, alpha, (min(accepted), max(accepted)), tests, mode.variant)
+    return MethodResult("brute_force", nobs, alpha, (min(accepted), max(accepted)), tests)
 
 
 #: Method id -> (CLI name, construction). The lambdas look the constructions
 #: up by module name at call time, so a wrapper set on that name is used.
-METHODS: dict[str, tuple[str, Callable[[ObservedTable, Fraction, PValueMode], MethodResult]]] = {
-    "bonferroni": ("bonferroni", lambda nobs, alpha, mode: ci_bonferroni(nobs, alpha)),
-    "margin_inversion": ("margin-inversion", lambda nobs, alpha, mode: ci_margin_inversion(nobs, alpha)),
-    "two_sided_frontier": ("two-sided", lambda nobs, alpha, mode: ci_two_sided_frontier(nobs, alpha, mode)),
-    "one_sided_lower": ("one-sided-lower", lambda nobs, alpha, mode: ci_one_sided(nobs, alpha, "lower", mode)),
-    "one_sided_upper": ("one-sided-upper", lambda nobs, alpha, mode: ci_one_sided(nobs, alpha, "upper", mode)),
-    "brute_force": ("brute-force", lambda nobs, alpha, mode: ci_brute_force(nobs, alpha, mode)),
+METHODS: dict[str, tuple[str, Callable[[ObservedTable, Fraction], MethodResult]]] = {
+    "bonferroni": ("bonferroni", lambda nobs, alpha: ci_bonferroni(nobs, alpha)),
+    "margin_inversion": ("margin-inversion", lambda nobs, alpha: ci_margin_inversion(nobs, alpha)),
+    "two_sided_frontier": ("two-sided", lambda nobs, alpha: ci_two_sided_frontier(nobs, alpha)),
+    "one_sided_lower": ("one-sided-lower", lambda nobs, alpha: ci_one_sided(nobs, alpha, "lower")),
+    "one_sided_upper": ("one-sided-upper", lambda nobs, alpha: ci_one_sided(nobs, alpha, "upper")),
+    "brute_force": ("brute-force", lambda nobs, alpha: ci_brute_force(nobs, alpha)),
 }
 
 
-def compute_ci(
-    method: str,
-    nobs: ObservedTable,
-    alpha: Fraction,
-    mode: PValueMode = PValueMode.exact(),
-) -> MethodResult:
+def compute_ci(method: str, nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Dispatch by method id (a key of METHODS)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    return METHODS[method][1](nobs, alpha, mode)
+    return METHODS[method][1](nobs, alpha)

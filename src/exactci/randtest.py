@@ -32,37 +32,30 @@ caches are bounded: the budget record keeps the newest `_BUDGET_KEYS` keys,
 and `_scaled_atoms` is an `lru_cache` of 100,000 distributions.
 
 `null_dist` is the definitional reference, read off the built distribution.
-
-A Monte Carlo estimator with sequential hypergeometric draws is available as
-a scaling escape hatch; it never participates in exactness guarantees.
 """
 
 from __future__ import annotations
 
 import os
-import random
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, sqrt
-from typing import Callable, Iterator, Literal
+from math import comb
+from typing import Iterator
 
 from .errors import DegenerateArm, ScaleGuard, SizeMismatch
 from .hypergeom import _comb_row
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
-    "PValueMode",
     "null_dist",
     "p_one_sided",
     "p_two_sided",
-    "mc_p",
     "max_exact_n",
 ]
 
-#: Environment variable overriding the exact-mode size guard.
+#: Environment variable overriding the exact-test size guard.
 SCALE_GUARD_ENV = "EXACTCI_MAX_EXACT_N"
 DEFAULT_MAX_EXACT_N = 300
 
@@ -77,29 +70,10 @@ def max_exact_n() -> int:
     return int(raw)
 
 
-def _guard(n: int, limit: int | None = None) -> None:
-    cap = limit if limit is not None else max_exact_n()
+def _guard(n: int) -> None:
+    cap = max_exact_n()
     if n > cap:
         raise ScaleGuard(f"exact computation requested for n={n} > limit {cap}")
-
-
-@dataclass(frozen=True)
-class PValueMode:
-    """exact, or monte_carlo with a rep count and seed (deterministic per seed)."""
-
-    variant: Literal["exact", "monte_carlo"] = "exact"
-    reps: int = 10_000
-    seed: int = 0
-
-    @staticmethod
-    def exact() -> "PValueMode":
-        return PValueMode("exact")
-
-    @staticmethod
-    def monte_carlo(reps: int, seed: int) -> "PValueMode":
-        if reps < 1:
-            raise ValueError("reps must be >= 1")
-        return PValueMode("monte_carlo", reps, seed)
 
 
 def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -285,81 +259,3 @@ def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
         return Fraction(1)
     weight = _tail_weight(N.as_tuple(), m, t_tau + margin, t_tau - margin)
     return Fraction(weight, comb(n, m))
-
-
-def _draw_split(rng: random.Random, N: PotentialTable, m: int) -> tuple[int, int, int, int]:
-    """One multivariate hypergeometric draw via sequential conditionals."""
-    remaining_total = N.n
-    remaining_sample = m
-    xs = []
-    for cat in N.as_tuple():
-        x = _hypergeom_draw(rng, cat, remaining_total, remaining_sample)
-        xs.append(x)
-        remaining_total -= cat
-        remaining_sample -= x
-    return tuple(xs)  # type: ignore[return-value]
-
-
-def _hypergeom_draw(rng: random.Random, marked: int, total: int, sample: int) -> int:
-    """Sample from HyperGeo(marked, total, sample) by inverse transform."""
-    if total == 0 or sample == 0 or marked == 0:
-        return 0
-    u = rng.random()
-    lo = max(0, sample - (total - marked))
-    hi = min(sample, marked)
-    denom = comb(total, sample)
-    acc = 0.0
-    for x in range(lo, hi + 1):
-        acc += comb(marked, x) * comb(total - marked, sample - x) / denom
-        if u <= acc:
-            return x
-    return hi
-
-
-def mc_p(
-    N: PotentialTable,
-    nobs: ObservedTable,
-    statistic: Literal["one_sided", "two_sided"],
-    reps: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo p-value estimate and its standard error.
-
-    Each rep samples a treated-count split; the rejection comparison runs on
-    the same cleared-denominator integer scale as the exact path.
-    """
-    _check_pair(N, nobs)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    n, m = N.n, nobs.m
-    rng = random.Random(seed)
-    t_obs = _scaled_obs(nobs)
-    t_tau = m * (n - m) * N.ntau
-    margin = abs(t_obs - t_tau)
-    hits = 0
-    for _ in range(reps):
-        x11, x10, x01, _ = _draw_split(rng, N, m)
-        scaled = n * ((x11 + x10) * (n - m) - (N.N11 - x11 + N.N01 - x01) * m)
-        if statistic == "one_sided":
-            hit = scaled >= t_obs
-        else:
-            hit = abs(scaled - t_tau) >= margin
-        hits += int(hit)
-    est = hits / reps
-    return est, sqrt(est * (1.0 - est) / reps)
-
-
-def make_p_evaluator(
-    nobs: ObservedTable,
-    statistic: Literal["one_sided", "two_sided"],
-    mode: PValueMode,
-) -> Callable[[PotentialTable], Fraction | float]:
-    """Bind a p-value function to an observed table and mode.
-
-    The exact p-value function is looked up by module name when the
-    evaluator is made, so a wrapper set on that name sees every test.
-    """
-    if mode.variant == "exact":
-        fn = p_one_sided if statistic == "one_sided" else p_two_sided
-        return lambda N: fn(N, nobs)
-    return lambda N: mc_p(N, nobs, statistic, mode.reps, mode.seed)[0]

@@ -27,7 +27,6 @@ def result_from_dict(d: dict) -> MethodResult:
         alpha=Fraction(d["alpha"]),
         ci_ntau=(d["ci_ntau"][0], d["ci_ntau"][1]),
         tests=d["tests"],
-        mode=d["mode"],
     )
 
 
@@ -117,17 +116,6 @@ class TestCompute:
         assert runner.invoke(main, args).exit_code == EXIT_SCALE
         monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "abc")
         assert runner.invoke(main, args).exit_code == EXIT_VALIDATION
-
-    def test_monte_carlo_mode(self, runner):
-        res = runner.invoke(
-            main,
-            [
-                "compute", "--table", "1,1,1,5", "--method", "two-sided",
-                "--mode", "mc", "--reps", "2000", "--seed", "1", "--format", "json",
-            ],
-        )
-        assert res.exit_code == 0
-        assert json.loads(res.output)["mode"] == "monte_carlo"
 
     def test_wang_flag(self, runner):
         # the flag did nothing and is gone; old scripts get a usage error
@@ -240,6 +228,36 @@ class TestEnumerate:
         res = runner.invoke(main, ["enumerate", "--table", "0,0,0,2"])
         assert res.exit_code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("option", [["--mode", "mc"], ["--reps", "10"], ["--seed", "1"]])
+    def test_monte_carlo_options_removed(self, runner, tmp_path, option):
+        # every p-value is exact; old Monte Carlo scripts get a usage error
+        res = runner.invoke(
+            main, ["compute", "--table", "1,1,1,5", "--method", "two-sided", *option]
+        )
+        assert res.exit_code == 2
+        assert option[0] in res.stderr
+
+        path = tmp_path / "in.csv"
+        path.write_text("n11,n10,n01,n00,alpha,method\n1,1,1,5,0.05,two-sided\n")
+        res = runner.invoke(main, ["batch", str(path), *option])
+        assert res.exit_code == 2
+        assert option[0] in res.stderr
+
+    def test_bench_removed(self, runner):
+        res = runner.invoke(main, ["bench", "--table", "1,1,1,13", "--method", "two-sided"])
+        assert res.exit_code == 2
+        assert "bench" in res.stderr
+
+    def test_csv_header_has_no_mode(self, runner):
+        res = runner.invoke(
+            main,
+            ["compute", "--table", "8,4,5,7", "--alpha", "0.05", "--method", "bonferroni", "--format", "csv"],
+        )
+        assert res.exit_code == 0
+        header = res.output.splitlines()[0].split(",")
+        assert len(header) == 11
+        assert "mode" not in header
+
 
 class TestCoverage:
     def test_guaranteed_method_passes(self, runner):
@@ -254,19 +272,3 @@ class TestCoverage:
             main, ["coverage", "--n", "2", "--m", "1", "--alpha", "0.05", "--method", "brute-force"]
         )
         assert res.exit_code == 0
-
-
-class TestBench:
-    def test_counts_and_bound(self, runner):
-        res = runner.invoke(
-            main,
-            ["bench", "--table", "1,1,1,13", "--method", "two-sided", "--method", "brute-force"],
-        )
-        assert res.exit_code == 0
-        lines = [l for l in res.output.splitlines() if "two_sided_frontier" in l]
-        assert len(lines) == 1
-        fields = lines[0].split()
-        tests, bound = int(fields[-3]), int(fields[-2])
-        assert tests == 103
-        assert bound == 2 * (2 * 16 + 1) * (16 + 1)
-        assert any("brute_force" in l and " 112 " in l for l in res.output.splitlines())

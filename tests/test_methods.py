@@ -8,7 +8,6 @@ from test_acceptance import BONFERRONI_PUBLISHED, MARGIN_PUBLISHED
 
 from exactci import (
     ObservedTable,
-    PValueMode,
     attainable_ntau_range,
     ci_bonferroni,
     ci_brute_force,
@@ -233,17 +232,6 @@ class TestGeneralInvariants:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             compute_ci("mystery", ObservedTable(1, 1, 1, 1), ALPHA)
-
-    def test_monte_carlo_mode_smoke(self):
-        nobs = ObservedTable(1, 1, 1, 5)
-        mode = PValueMode.monte_carlo(reps=2000, seed=3)
-        mc = ci_two_sided_frontier(nobs, ALPHA, mode)
-        exact = ci_two_sided_frontier(nobs, ALPHA)
-        assert mc.mode == "monte_carlo"
-        assert exact.mode == "exact"
-        # generous band: estimates at this rep count rarely flip a decision
-        assert abs(mc.ci_ntau[0] - exact.ci_ntau[0]) <= 1
-        assert abs(mc.ci_ntau[1] - exact.ci_ntau[1]) <= 1
 
 
 @pytest.fixture

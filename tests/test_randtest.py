@@ -1,4 +1,4 @@
-"""Exact randomization-test engine and its Monte Carlo escape hatch."""
+"""Exact randomization-test engine."""
 
 import itertools
 import random
@@ -11,12 +11,10 @@ from exactci import (
     DegenerateArm,
     ObservedTable,
     PotentialTable,
-    PValueMode,
     ScaleGuard,
     SizeMismatch,
     ci_brute_force,
     frontier_scan,
-    mc_p,
     null_dist,
     p_one_sided,
     p_two_sided,
@@ -246,45 +244,3 @@ class TestDecisionPaths:
         for N in tables:
             p_one_sided(N, nobs)
         assert list(randtest._budgets) == [(N.as_tuple(), 4) for N in tables[2:]]
-
-
-class TestPValueMode:
-    def test_reps_validation(self):
-        with pytest.raises(ValueError):
-            PValueMode.monte_carlo(0, 1)
-
-    def test_exact_default(self):
-        assert PValueMode.exact().variant == "exact"
-
-
-class TestMonteCarlo:
-    def test_deterministic_per_seed(self):
-        nobs = ObservedTable(2, 1, 1, 2)
-        N = PotentialTable(2, 1, 1, 2)
-        a = mc_p(N, nobs, "two_sided", reps=500, seed=7)
-        b = mc_p(N, nobs, "two_sided", reps=500, seed=7)
-        c = mc_p(N, nobs, "two_sided", reps=500, seed=8)
-        assert a == b
-        assert a != c or a[0] in (0.0, 1.0)
-
-    def test_degenerate_distribution(self):
-        nobs = ObservedTable(3, 0, 0, 3)
-        N = PotentialTable(0, 6, 0, 0)
-        for seed in range(5):
-            est, se = mc_p(N, nobs, "two_sided", reps=200, seed=seed)
-            assert est == 1.0 and se == 0.0
-
-    def test_calibration_against_exact(self):
-        nobs = ObservedTable(2, 1, 1, 2)
-        N = PotentialTable(1, 2, 2, 1)
-        exact = float(p_two_sided(N, nobs))
-        reps = 2000
-        good = 0
-        seeds = range(60)
-        for seed in seeds:
-            est, se = mc_p(N, nobs, "two_sided", reps=reps, seed=seed)
-            if se == 0.0:
-                good += est == exact
-            else:
-                good += abs(est - exact) < 3.0 * se
-        assert good >= 57  # 3-sigma band should catch nearly every seed
