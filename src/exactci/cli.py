@@ -63,17 +63,14 @@ def result_to_dict(result: MethodResult) -> dict:
     }
 
 
-def _render_text(result: MethodResult, scale: str) -> str:
-    lines = [
+def _render_text(result: MethodResult) -> str:
+    return "\n".join([
         f"table:  {result.table.as_tuple()}  (n={result.table.n}, m={result.table.m})",
         f"method: {result.method}  alpha={result.alpha}",
-    ]
-    if scale in ("tau", "both"):
-        lines.append(f"ci_tau:  [{result.ci_tau[0]}, {result.ci_tau[1]}]")
-    if scale in ("ntau", "both"):
-        lines.append(f"ci_ntau: [{result.ci_ntau[0]}, {result.ci_ntau[1]}]")
-    lines.append(f"tests:  {result.tests}")
-    return "\n".join(lines)
+        f"ci_tau:  [{result.ci_tau[0]}, {result.ci_tau[1]}]",
+        f"ci_ntau: [{result.ci_ntau[0]}, {result.ci_ntau[1]}]",
+        f"tests:  {result.tests}",
+    ])
 
 
 def _fail(message: str, code: int) -> None:
@@ -104,8 +101,7 @@ _alpha_opt = click.option("--alpha", "alpha_str", default="0.05", show_default=T
 @_alpha_opt
 @click.option("--method", type=click.Choice(sorted(METHOD_BY_NAME)), required=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
-@click.option("--scale", type=click.Choice(["tau", "ntau", "both"]), default="both", show_default=True)
-def compute(table_str, alpha_str, method, fmt, scale) -> None:
+def compute(table_str, alpha_str, method, fmt) -> None:
     """Confidence interval for a single observed table."""
 
     def run() -> MethodResult:
@@ -123,7 +119,7 @@ def compute(table_str, alpha_str, method, fmt, scale) -> None:
         writer.writerow(_csv_row(result))
         click.echo(buf.getvalue().rstrip("\n"))
     else:
-        click.echo(_render_text(result, scale))
+        click.echo(_render_text(result))
 
 
 _CSV_HEADER = [
@@ -197,22 +193,24 @@ def batch(input_file, output_file, fmt) -> None:
 def enumerate_cmd(table_str, alpha_str, fmt) -> None:
     """List all potential tables compatible with the observed table."""
 
+    with_p = alpha_str is not None
+
     def run():
         nobs = parse_table(table_str)
-        alpha = parse_alpha(alpha_str) if alpha_str is not None else None
-        return nobs, alpha
+        if with_p:
+            parse_alpha(alpha_str)  # validated only: the p-values do not depend on alpha
+        rows = []
+        for N in enumerate_compatible(nobs):
+            row = [N.N11, N.N10, N.N01, N.N00, N.ntau, str(N.tau)]
+            if with_p:
+                row.append(str(p_two_sided(N, nobs)))
+            rows.append(row)
+        return rows
 
-    nobs, alpha = _run_guarded(run)
-    tables = enumerate_compatible(nobs)
+    rows = _run_guarded(run)
     header = ["N11", "N10", "N01", "N00", "ntau", "tau"]
-    if alpha is not None:
+    if with_p:
         header.append("p_two_sided")
-    rows = []
-    for N in tables:
-        row = [N.N11, N.N10, N.N01, N.N00, N.ntau, str(N.tau)]
-        if alpha is not None:
-            row.append(str(p_two_sided(N, nobs)))
-        rows.append(row)
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
@@ -221,7 +219,7 @@ def enumerate_cmd(table_str, alpha_str, fmt) -> None:
         click.echo("  ".join(header))
         for row in rows:
             click.echo("  ".join(str(v) for v in row))
-        click.echo(f"{len(tables)} compatible tables")
+        click.echo(f"{len(rows)} compatible tables")
 
 
 @main.command()

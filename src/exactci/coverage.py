@@ -13,24 +13,24 @@ when every N10 unit is treated and no N01 unit is. For each n*tau value t and
 each n11 it then records the maximal runs of n01 whose interval contains t.
 With (x11, x10) fixed, n01 is affine in x01, so a run is one x01 range, and
 its weight is one difference of prefix sums of C(N01, x01) * C(N00, r2 - x01)
-over x01, where r2 = m - n11. Those prefix sums depend only on (N01, N00), so
-they are built once for all the true tables that share them. A true table
-thus costs O(n^2 * runs) lookups instead of O(n^3) splits. No monotonicity of
-the method is assumed: where coverage is not contiguous in n01, there are
-simply more runs.
+over x01, where r2 = m - n11. Those prefix sums are the rows of
+`hypergeom._at_most`, which the randomization tests read too; they depend
+only on (N01, N00, r2), so they are built once for all the true tables and
+tests that share them. A true table thus costs O(n^2 * runs) lookups instead
+of O(n^3) splits. No monotonicity of the method is assumed: where coverage is
+not contiguous in n01, there are simply more runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from math import comb
 from operator import mul, sub
 from typing import Callable
 
 from .errors import ScaleGuard
-from .hypergeom import _comb_row
+from .hypergeom import _at_most, _comb_row
 from .tables import ObservedTable, PotentialTable
 
 __all__ = ["CoverageReport", "exact_coverage_sweep"]
@@ -89,16 +89,14 @@ def _covering_runs(n: int, m: int, ci_fn: CIFn) -> list[RunsAtT]:
 def _at_most_rows(N01: int, N00: int, m: int, n: int) -> list[list[int]]:
     """rows[r2][j + n - m + 1]: ways to draw r2 of the N01 + N00 units with x01 <= j.
 
-    Each row is the prefix sum over x01 of C(N01, x01) * C(N00, r2 - x01),
-    padded so that every j in [-(n - m + 1), n] is an index.
+    Each row is the shared prefix row `_at_most(N01, N00, r2)`, padded so
+    that every j in [-(n - m + 1), n] is an index.
     """
-    c01 = _comb_row(N01)
-    c00 = [*_comb_row(N00), *[0] * m]  # C(N00, k) = 0 for k > N00
     left = [0] * (n - m + 1)
     rows = []
     for r2 in range(m + 1):
-        at_most = list(accumulate(map(mul, c01, c00[r2::-1])))
-        rows.append(left + at_most + at_most[-1:] * (n + 1 - len(at_most)))
+        at_most = _at_most(N01, N00, r2)
+        rows.append([*left, *at_most, *at_most[-1:] * (n + 1 - len(at_most))])
     return rows
 
 

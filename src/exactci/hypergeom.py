@@ -17,15 +17,18 @@ exact coverage of every marked count stays strictly above 1 - alpha. The
 intervals reproduce the published Bonferroni and margin-inversion intervals
 of the six example tables exactly.
 
-`_comb_row` holds the binomial coefficients that this module and `randtest`
-both read.
+`_comb_row` holds the binomial coefficients that this module, `randtest` and
+`coverage` read, and `_at_most` the prefix rows that `randtest` and
+`coverage` share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .errors import InvalidLevel
 
@@ -36,6 +39,21 @@ __all__ = ["ci_count"]
 def _comb_row(c: int) -> tuple[int, ...]:
     """C(c, k) for k = 0..c."""
     return tuple(comb(c, k) for k in range(c + 1))
+
+
+@lru_cache(maxsize=1 << 13)
+def _at_most(N01: int, N00: int, r2: int) -> tuple[int, ...]:
+    """row[j]: ways to draw r2 of the N01 + N00 units with at most j of the N01.
+
+    The prefix sums over x01 of C(N01, x01) * C(N00, r2 - x01) for
+    j = 0..min(N01, r2); the last entry is C(N01 + N00, r2) when
+    r2 <= N01 + N00. Entries below r2 - N00 are zero.
+    """
+    c01 = _comb_row(N01)[: r2 + 1]
+    lo = max(0, r2 - N00)  # fewer N01 units leave more than N00 to draw
+    # x01 = lo, lo + 1, ... pairs with x00 = r2 - lo, r2 - lo - 1, ...
+    terms = map(mul, c01[lo:], _comb_row(N00)[r2 - lo :: -1])
+    return (0,) * min(lo, len(c01)) + tuple(accumulate(terms))
 
 
 def _check_alpha(alpha: Fraction | float) -> Fraction:

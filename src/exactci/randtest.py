@@ -8,44 +8,36 @@ cleared-denominator integer scale (statistic times n*m*(n-m)) and tail
 weights are big integers, so every p-value is an exact `Fraction` and every
 accept/reject decision is bit-exact.
 
-A test is decided in one of two ways:
+Every test is decided one way, by a direct tail sum of O(n^2) lookups
+(`_tail_weight`). With the treated counts (x11, x10) fixed, the scaled
+statistic is base + n*m*x01, which increases with x01, so a one-sided tail is
+one x01 range and a two-sided tail is two. A range that spans its row weighs
+C(N01 + N00, r2), where r2 = m - x11 - x10; a part of a row is one lookup in
+the row of prefix sums of C(N01, x01) * C(N00, r2 - x01) over x01,
+`hypergeom._at_most(N01, N00, r2)`.
 
-* **Direct tail sum, O(n^2).** With the treated counts (x11, x10) fixed, the
-  scaled statistic is base + n*m*x01, which increases with x01. So a one-sided
-  tail is one x01 range and a two-sided tail is two. Prefix sums of
-  C(N01, x01) * C(N00, r2 - x01) over x01, one table per r2 = m - x11 - x10,
-  make each range one lookup; pairs whose range misses the tail are skipped,
-  and a table is built only for an r2 where some range is partly in it.
-* **Built distribution, O(log n).** `_scaled_atoms` enumerates every split
-  once (O(n^3) big-integer weights), merges equal statistics and stores each
-  atom with its upper-tail weight; a test is then two bisections.
+The prefix rows depend only on (N01, N00, r2), so the neighbouring tables of
+a frontier scan, the repeated tests of a batch over one design and the
+weighing of a coverage sweep share them. `_at_most` is an `lru_cache` of
+8,192 rows. A row holds min(N01, r2) + 1 integers below 2**n; at the default
+size guard, n = 300, the largest row takes about 10 KB, so the cache holds
+at most about 83 MB.
 
-Which one runs is a rent-or-buy choice per (potential table, m) key. The first
-direct test of a key gives it a budget equal to its split count, the size of
-a build; every direct test spends the work it did (the (x11, x10) pairs it
-visited plus the prefix entries it built). Once the budget is spent, the next
-test of the key builds the distribution, and later tests read it. So a key
-tested once is never built, as in a one-off frontier scan, while tables
-tested many times (coverage sweeps, batches over a shared design) build
-early and then decide by bisection. The rule has no tunable constant. Both
-caches are bounded: the budget record keeps the newest `_BUDGET_KEYS` keys,
-and `_scaled_atoms` is an `lru_cache` of 100,000 distributions.
-
-`null_dist` is the definitional reference, read off the built distribution.
+`null_dist` is the definitional reference. It reads the whole null
+distribution off `_scaled_atoms`, which enumerates every split once (O(n^3)
+big-integer weights) and merges equal statistics; no p-value reads it.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Iterator
 
 from .errors import DegenerateArm, ScaleGuard, SizeMismatch
-from .hypergeom import _comb_row
+from .hypergeom import _at_most, _comb_row
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
@@ -97,11 +89,9 @@ def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int
 
 @lru_cache(maxsize=100_000)
 def _scaled_atoms(cells: tuple[int, int, int, int], m: int) -> tuple[tuple[int, int], ...]:
-    """Atoms (statistic * n*m*(n-m), upper-tail weight) of the null distribution.
+    """Atoms (statistic * n*m*(n-m), weight) of the null distribution.
 
-    Sorted by scaled statistic; an atom's tail weight is the total weight of
-    the atoms at or above it, so the first atom's is C(n, m). Equal
-    statistics are merged.
+    Sorted by scaled statistic; equal statistics are merged.
     """
     N = PotentialTable(*cells)
     n = N.n
@@ -109,12 +99,7 @@ def _scaled_atoms(cells: tuple[int, int, int, int], m: int) -> tuple[tuple[int, 
     for x11, x10, x01, x00, w in _iter_splits(N, m):
         scaled = n * ((x11 + x10) * (n - m) - (N.N11 - x11 + N.N01 - x01) * m)
         merged[scaled] = merged.get(scaled, 0) + w
-    tail = 0
-    atoms = []
-    for scaled in sorted(merged, reverse=True):
-        tail += merged[scaled]
-        atoms.append((scaled, tail))
-    return tuple(reversed(atoms))
+    return tuple(sorted(merged.items()))
 
 
 def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
@@ -123,69 +108,28 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     if m < 1 or m > n - 1:
         raise DegenerateArm(f"need 1 <= m <= n-1, got m={m}, n={n}")
     _guard(n)
-    denom = n * m * (n - m)
-    cn = comb(n, m)
-    atoms = _scaled_atoms(N.as_tuple(), m)
-    tails = [tail for _, tail in atoms[1:]] + [0]
-    return [
-        (Fraction(scaled, denom), Fraction(tail - above, cn))
-        for (scaled, tail), above in zip(atoms, tails)
-    ]
-
-
-#: Budget record of the rent-or-buy choice: (cells, m) -> work left before
-#: the key's distribution is built. Oldest keys are evicted first.
-_BUDGET_KEYS = 1 << 18
-_budgets: OrderedDict[tuple[tuple[int, int, int, int], int], int] = OrderedDict()
+    denom, cn = n * m * (n - m), comb(n, m)
+    return [(Fraction(scaled, denom), Fraction(w, cn)) for scaled, w in _scaled_atoms(N.as_tuple(), m)]
 
 
 def _tail_weight(cells: tuple[int, int, int, int], m: int, upper: int, lower: int | None) -> int:
     """Weight of the splits whose scaled statistic is >= upper or <= lower.
 
-    lower=None means an upper tail only. Summed directly or read off the
-    built distribution, by the rent-or-buy rule of the module docstring.
-    """
-    key = (cells, m)
-    budget = _budgets.get(key)
-    if budget is not None and budget <= 0:
-        atoms = _scaled_atoms(cells, m)
-
-        def at_or_above(t: int) -> int:
-            i = bisect_left(atoms, (t,))
-            return atoms[i][1] if i < len(atoms) else 0
-
-        weight = at_or_above(upper)
-        if lower is not None:
-            weight += atoms[0][1] - at_or_above(lower + 1)
-        return weight
-    weight, work, splits = _tail_direct(cells, m, upper, lower)
-    if budget is None:
-        if len(_budgets) >= _BUDGET_KEYS:
-            _budgets.popitem(last=False)
-        budget = splits
-    _budgets[key] = budget - work
-    return weight
-
-
-def _tail_direct(
-    cells: tuple[int, int, int, int], m: int, upper: int, lower: int | None
-) -> tuple[int, int, int]:
-    """(tail weight, work done, split count) by x01 range sums.
-
-    With r2 = x01 + x00 fixed, x11 + x10 = m - r2 and the scaled statistic
-    of a split is base + n*m*(x11 + x01). So in each row x11 the upper tail
-    is one range x01 >= k - x11 and the lower tail one range x01 <= j - x11.
-    A range is the whole row (weight C(N01 + N00, r2)) or a part, read off
-    the prefix sums of C(N01, x01) * C(N00, r2 - x01) over the row's x01
-    from lo. Rows outside a tail are not visited, and the prefix sums are
-    built only for an r2 with a part row. Work is the rows visited plus the
-    prefix entries built.
+    lower=None means an upper tail only; otherwise lower < upper, so the
+    tails are disjoint. With r2 = x01 + x00 fixed, x11 + x10 = m - r2 and
+    the scaled statistic of a split is base + n*m*(x11 + x01). So in each
+    row x11 the upper tail is one range x01 >= k - x11 and the lower tail
+    one range x01 <= j - x11. A range is the whole row, of weight
+    C(N01 + N00, r2), or a part, read off the prefix row
+    `_at_most(N01, N00, r2)`. Rows outside a tail are not visited, and where
+    every row of an r2 is whole, Vandermonde's identity sums them at once.
     """
     N11, N10, N01, N00 = cells
     n = N11 + N10 + N01 + N00
     step = n * m
-    c11, c10, c01, c00 = map(_comb_row, cells)
-    weight = work = splits = 0
+    c11, c10 = _comb_row(N11), _comb_row(N10)
+    c1, c0 = _comb_row(N11 + N10), _comb_row(N01 + N00)
+    weight = 0
     for r2 in range(max(0, m - N11 - N10), min(m, N01 + N00) + 1):
         s = m - r2
         # x01 range [lo, hi] and x11 range [first, last] (conditionals are
@@ -194,30 +138,35 @@ def _tail_direct(
         hi = r2 if r2 < N01 else N01
         first = s - N10 if s > N10 else 0
         last = s if s < N11 else N11
-        splits += (hi - lo + 1) * (last - first + 1)
         base = n * (s * (n - m) - (N11 + N01) * m)
+        full = c0[r2]
         k = -((base - upper) // step)  # least x11 + x01 in the upper tail
-        up = range(max(first, k - hi), last + 1)
-        whole_up = k - lo  # up rows from here are whole
-        down, whole_down = range(0), -1
-        if lower is not None:
-            j = (lower - base) // step  # greatest x11 + x01 in the lower tail
-            down = range(first, min(last, j - lo) + 1)
-            whole_down = j - hi  # down rows up to here are whole
-        if up.start < min(up.stop, whole_up) or max(down.start, whole_down + 1) < down.stop:
-            pre = [0]
-            for x01 in range(lo, hi + 1):
-                pre.append(pre[-1] + c01[x01] * c00[r2 - x01])
-            work += hi - lo + 1
-        full = comb(N01 + N00, r2)
-        for x11 in up:
-            g = c11[x11] * c10[s - x11]
-            weight += g * full if x11 >= whole_up else g * (full - pre[k - x11 - lo])
-        for x11 in down:
-            g = c11[x11] * c10[s - x11]
-            weight += g * full if x11 <= whole_down else g * pre[j - x11 - lo + 1]
-        work += len(up) + len(down)
-    return weight, work, splits
+        a = k - hi if k - hi > first else first  # first row in the tail
+        b = k - lo if k - lo > a else a  # first whole row
+        if b == first:  # every row whole: Vandermonde's identity sums them
+            weight += c1[s] * full
+        elif a <= last:
+            for x11 in range(b, last + 1):
+                weight += c11[x11] * c10[s - x11] * full
+            if a < b:
+                row = _at_most(N01, N00, r2)
+                for x11 in range(a, min(b, last + 1)):
+                    weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
+        if lower is None:
+            continue
+        j = (lower - base) // step  # greatest x11 + x01 in the lower tail
+        b = j - lo if j - lo < last else last  # last row in the tail
+        a = j - hi if j - hi < b else b  # last whole row
+        if a == last:  # every row whole
+            weight += c1[s] * full
+        elif b >= first:
+            for x11 in range(first, a + 1):
+                weight += c11[x11] * c10[s - x11] * full
+            if a < b:
+                row = _at_most(N01, N00, r2)
+                for x11 in range(max(a + 1, first), b + 1):
+                    weight += c11[x11] * c10[s - x11] * row[j - x11]
+    return weight
 
 
 def _scaled_obs(nobs: ObservedTable) -> int:
@@ -232,11 +181,7 @@ def _check_pair(N: PotentialTable, nobs: ObservedTable) -> None:
 
 
 def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
-    """Exact P(estimate >= observed estimate) under N.
-
-    The tail is one x01 range per (x11, x10), summed directly or read off
-    the built distribution (see the module docstring).
-    """
+    """Exact P(estimate >= observed estimate) under N."""
     _check_pair(N, nobs)
     _guard(N.n)
     weight = _tail_weight(N.as_tuple(), nobs.m, _scaled_obs(nobs), None)
@@ -246,9 +191,8 @@ def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
 def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(|estimate - tau| >= |observed estimate - tau|) under N.
 
-    The tail is two x01 ranges per (x11, x10), summed directly or read off
-    the built distribution (see the module docstring). An observed estimate
-    equal to tau gives p = 1 without a sum.
+    An observed estimate equal to tau gives p = 1 without a sum, whose two
+    tails would overlap.
     """
     _check_pair(N, nobs)
     _guard(N.n)

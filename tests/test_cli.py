@@ -126,6 +126,16 @@ class TestCompute:
         assert res.exit_code == 2
         assert "--wang" in res.stderr
 
+    def test_scale_option_removed(self, runner):
+        # text output always prints both scales; old scripts get a usage error
+        args = ["compute", "--table", "1,1,1,5", "--method", "two-sided"]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0
+        assert "ci_tau:" in res.output and "ci_ntau:" in res.output
+        res = runner.invoke(main, [*args, "--scale", "ntau"])
+        assert res.exit_code == 2
+        assert "--scale" in res.stderr
+
     def test_shrunk_count_intervals_without_wang(self, runner):
         res = runner.invoke(
             main,
@@ -227,6 +237,20 @@ class TestEnumerate:
     def test_degenerate_table(self, runner):
         res = runner.invoke(main, ["enumerate", "--table", "0,0,0,2"])
         assert res.exit_code == EXIT_VALIDATION
+
+    def test_scale_guard_exit_code(self, runner, monkeypatch):
+        # the p-values are computed under the same guard as compute's
+        monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "5")
+        res = runner.invoke(main, ["enumerate", "--table", "2,2,2,2", "--alpha", "0.05"])
+        assert res.exit_code == EXIT_SCALE
+        assert "limit 5" in res.stderr
+        assert res.stdout == ""
+
+    def test_invalid_scale_guard_env(self, runner, monkeypatch):
+        monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "abc")
+        res = runner.invoke(main, ["enumerate", "--table", "2,2,2,2", "--alpha", "0.05"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "EXACTCI_MAX_EXACT_N" in res.stderr
 
     @pytest.mark.parametrize("option", [["--mode", "mc"], ["--reps", "10"], ["--seed", "1"]])
     def test_monte_carlo_options_removed(self, runner, tmp_path, option):

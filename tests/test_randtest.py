@@ -4,6 +4,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,6 +21,7 @@ from exactci import (
     p_two_sided,
 )
 from exactci import randtest
+from exactci.hypergeom import _at_most
 from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
 
 from conftest import observed_tables, potential_tables
@@ -42,23 +44,11 @@ def atoms_reads():
     return info.hits + info.misses
 
 
-def p_direct(N, nobs):
-    """Both p-values with an empty budget record, so each is a direct tail sum."""
+def p_both(N, nobs):
+    """Both p-values, checked to be direct tail sums that read no built distribution."""
     reads = atoms_reads()
-    randtest._budgets.clear()
-    one = p_one_sided(N, nobs)
-    randtest._budgets.clear()
-    two = p_two_sided(N, nobs)
-    assert atoms_reads() == reads
-    return one, two
-
-
-def p_built(N, nobs):
-    """Both p-values with the key's budget spent, so each reads the built distribution."""
-    reads = atoms_reads()
-    randtest._budgets[(N.as_tuple(), nobs.m)] = 0
     one, two = p_one_sided(N, nobs), p_two_sided(N, nobs)
-    assert atoms_reads() == reads + 1 + (nobs.tau_hat != N.tau)  # margin 0 reads nothing
+    assert atoms_reads() == reads
     return one, two
 
 
@@ -162,13 +152,7 @@ class TestExactPValues:
 
 
 class TestDecisionPaths:
-    """The direct tail sum and the built distribution give the definitional p-values."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_budgets(self):
-        # the budget record is process-wide; leave no forced path behind
-        yield
-        randtest._budgets.clear()
+    """The direct tail sums give the definitional p-values."""
 
     def test_every_pair_up_to_n9(self):
         # every potential table against every observed table, so every m
@@ -179,9 +163,7 @@ class TestDecisionPaths:
             for N, (m, tables) in itertools.product(potential_tables(n), by_m.items()):
                 dist = null_dist(N, m)
                 for nobs in tables:
-                    expect = definitional_p(N, nobs, dist)
-                    assert p_direct(N, nobs) == expect, (N, nobs)
-                    assert p_built(N, nobs) == expect, (N, nobs)
+                    assert p_both(N, nobs) == definitional_p(N, nobs, dist), (N, nobs)
 
     def test_random_pairs_n11_to_60(self):
         rng = random.Random(20151)
@@ -189,9 +171,7 @@ class TestDecisionPaths:
         checked = 0
         while checked < 40 or time.monotonic() < deadline:
             N, nobs = random_pair(rng, rng.randint(11, 60))
-            expect = definitional_p(N, nobs)
-            assert p_direct(N, nobs) == expect, (N, nobs)
-            assert p_built(N, nobs) == expect, (N, nobs)
+            assert p_both(N, nobs) == definitional_p(N, nobs), (N, nobs)
             checked += 1
 
     def test_extreme_arms(self):
@@ -200,8 +180,7 @@ class TestDecisionPaths:
             for m in (1, n - 1):
                 for _ in range(10):
                     N, nobs = random_pair(rng, n, m)
-                    expect = definitional_p(N, nobs)
-                    assert p_direct(N, nobs) == expect == p_built(N, nobs), (N, nobs)
+                    assert p_both(N, nobs) == definitional_p(N, nobs), (N, nobs)
 
     def test_zero_margin_is_one_on_both_paths(self):
         # observed estimate equal to tau: every assignment is as extreme
@@ -212,35 +191,27 @@ class TestDecisionPaths:
             (PotentialTable(5, 2, 2, 11), ObservedTable(0, 1, 0, 19)),
         ):
             assert N.tau == nobs.tau_hat
-            assert p_direct(N, nobs)[1] == p_built(N, nobs)[1] == 1
+            assert p_both(N, nobs)[1] == definitional_p(N, nobs)[1] == 1
 
-    def test_rent_then_buy(self):
-        # a first test never builds; the key builds once its budget is spent,
-        # and later tests read the built distribution
-        randtest._budgets.clear()
-        randtest._scaled_atoms.cache_clear()
-        N, nobs = PotentialTable(9, 8, 7, 6), ObservedTable(5, 10, 7, 8)
-        key = (N.as_tuple(), nobs.m)
-        expect = p_two_sided(N, nobs)
-        assert randtest._scaled_atoms.cache_info().currsize == 0
-        budget = randtest._budgets[key]
-        assert budget > 0
-        while randtest._budgets[key] > 0:
-            assert p_two_sided(N, nobs) == expect
-            assert randtest._budgets[key] < budget
-            budget = randtest._budgets[key]
-        assert randtest._scaled_atoms.cache_info().currsize == 0
-        for _ in range(3):
-            assert p_two_sided(N, nobs) == expect
-        info = randtest._scaled_atoms.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
-
-    def test_budget_record_is_bounded(self, monkeypatch):
-        # the record keeps the newest keys and evicts the oldest
-        monkeypatch.setattr(randtest, "_BUDGET_KEYS", 3)
-        randtest._budgets.clear()
-        nobs = ObservedTable(2, 2, 2, 2)
-        tables = [PotentialTable(k, 0, 0, 8 - k) for k in range(5)]
-        for N in tables:
-            p_one_sided(N, nobs)
-        assert list(randtest._budgets) == [(N.as_tuple(), 4) for N in tables[2:]]
+    def test_prefix_rows(self):
+        # the rows hold their definitional sums
+        for N01, N00 in itertools.product(range(13), repeat=2):
+            for r2 in range(N01 + N00 + 1):
+                terms = [comb(N01, x01) * comb(N00, r2 - x01) for x01 in range(min(N01, r2) + 1)]
+                assert list(_at_most(N01, N00, r2)) == list(itertools.accumulate(terms))
+                assert _at_most(N01, N00, r2)[-1] == comb(N01 + N00, r2)
+        # a cold and a warm cache give the same p-values
+        rng = random.Random(11)
+        pairs = [random_pair(rng, rng.randint(11, 40)) for _ in range(30)]
+        _at_most.cache_clear()
+        cold = [p_both(N, nobs) for N, nobs in pairs]
+        hits = _at_most.cache_info().hits
+        assert [p_both(N, nobs) for N, nobs in pairs] == cold
+        assert _at_most.cache_info().hits > hits
+        # the cache keeps at most its bound of rows
+        bound = _at_most.cache_info().maxsize
+        assert bound is not None
+        for key in itertools.islice(itertools.product(range(40), range(40), range(40)), bound + 1):
+            _at_most(*key)
+        assert _at_most.cache_info().currsize == bound
+        _at_most.cache_clear()
