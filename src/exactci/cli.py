@@ -188,7 +188,10 @@ def batch(input_file, output_file, fmt) -> None:
 
 @main.command("enumerate")
 @_table_opt
-@click.option("--alpha", "alpha_str", default=None, help="if set, include the two-sided p-value per table")
+@click.option(
+    "--alpha", "alpha_str", default=None,
+    help="if set, include each table's two-sided p-value and whether it is accepted at this level",
+)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text", show_default=True)
 def enumerate_cmd(table_str, alpha_str, fmt) -> None:
     """List all potential tables compatible with the observed table."""
@@ -197,20 +200,20 @@ def enumerate_cmd(table_str, alpha_str, fmt) -> None:
 
     def run():
         nobs = parse_table(table_str)
-        if with_p:
-            parse_alpha(alpha_str)  # validated only: the p-values do not depend on alpha
+        alpha = parse_alpha(alpha_str) if with_p else None
         rows = []
         for N in enumerate_compatible(nobs):
             row = [N.N11, N.N10, N.N01, N.N00, N.ntau, str(N.tau)]
             if with_p:
-                row.append(str(p_two_sided(N, nobs)))
+                p = p_two_sided(N, nobs)
+                row += [str(p), "yes" if p >= alpha else "no"]
             rows.append(row)
         return rows
 
     rows = _run_guarded(run)
     header = ["N11", "N10", "N01", "N00", "ntau", "tau"]
     if with_p:
-        header.append("p_two_sided")
+        header += ["p_two_sided", "accepted"]
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
         writer.writerow(header)

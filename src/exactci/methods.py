@@ -14,8 +14,8 @@ Five constructions, all with guaranteed finite-sample coverage:
   against.
 
 Every result carries the count of randomization tests its construction
-needs for that table (one test = one p-value evaluation for one candidate
-table; frontier fallback assignments count zero). A table that is its own
+needs for that table (one test = one accept/reject decision for one
+candidate table; frontier fallback assignments count zero). A table that is its own
 outcome-label mirror needs one frontier scan for both sides, so it counts one.
 
 The frontier constructions read each scan through a private cache of scan
@@ -44,7 +44,6 @@ from .hypergeom import _check_alpha, ci_count
 from .randtest import _guard
 from .tables import (
     ObservedTable,
-    PotentialTable,
     attainable_ntau_range,
     compatible_n10,
     is_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -113,15 +112,15 @@ def frontier_scan(
     of a cell are one range.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
-    label switch otherwise. The p-value function is looked up on `randtest`
-    once per scan, so a wrapper set on that name sees every test.
+    label switch otherwise. Each test is one call of the decision function
+    that `randtest.acceptor` builds once per scan; the factory is looked up
+    by module attribute, so a wrapper set on that name sees every scan.
     """
-    alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
     if statistic == "two_sided" and m > n - m:
         raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
     two_sided = statistic == "two_sided"
-    p_value = randtest.p_two_sided if two_sided else randtest.p_one_sided
+    accepts = randtest.acceptor(nobs, alpha, statistic)
     ntau_obs = nobs.tau_hat * n
     floor_nt = math.floor(ntau_obs)  # exact: Fraction floor
     out = FrontierScan()
@@ -133,9 +132,8 @@ def frontier_scan(
             frontier = None
             N10 = carry
             while N10 <= hi:
-                N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
                 out.tests += 1
-                if p_value(N, nobs) >= alpha:
+                if accepts(N11, N10, N01, n - N11 - N10 - N01):
                     frontier = N10
                     break
                 N10 += 1
@@ -275,14 +273,16 @@ def ci_brute_force(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
 
     Candidates come from the cell-wise decomposition enumeration, one
     randomization test each, so the count is (n11+1)(n10+1)(n01+1)(n00+1)
-    (duplicated tables are retested, as in the classical baseline).
+    (duplicated tables are retested, as in the classical baseline). The
+    decision function comes from `randtest.acceptor`, looked up once per
+    search by module attribute, so a wrapper set on that name sees it.
     """
     alpha = _check_alpha(alpha)
-    p_value = randtest.p_two_sided  # looked up once, so a wrapper sees every test
+    accepts = randtest.acceptor(nobs, alpha, "two_sided")
     accepted, tests = [], 0
     for N in iter_cell_decompositions(nobs):
         tests += 1
-        if p_value(N, nobs) >= alpha:
+        if accepts(*N.as_tuple()):
             accepted.append(N.ntau)
     if not accepted:
         raise EmptyAcceptance("no compatible table accepted at this level")

@@ -5,10 +5,17 @@ distribution of the estimate: a treatment group of size m is a uniform random
 size-m subset, so the per-category treated counts (x11, x10, x01, x00) follow
 a multivariate hypergeometric law. Statistics are compared on a
 cleared-denominator integer scale (statistic times n*m*(n-m)) and tail
-weights are big integers, so every p-value is an exact `Fraction` and every
-accept/reject decision is bit-exact.
+weights are big integers, so every accept/reject decision is bit-exact.
 
-Every test is decided one way, by a direct tail sum of O(n^2) lookups
+A search decides its tests by one integer comparison each. p >= alpha holds
+exactly when the tail weight is at least need = ceil(alpha * C(n, m)), so
+`acceptor` computes need, C(n, m) and the scaled observed statistic once per
+search and returns `accepts(N11, N10, N01, N00)`, which sums the tail and
+compares; it builds no table and no `Fraction`. `p_one_sided` and
+`p_two_sided` return the exact `Fraction` p-value for the public API and
+reuse the same tail bounds and sum, so both paths decide alike.
+
+Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). With the treated counts (x11, x10) fixed, the scaled
 statistic is base + n*m*x01, which increases with x01, so a one-sided tail is
 one x01 range and a two-sided tail is two. A range that spans its row weighs
@@ -34,13 +41,14 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator, Literal
 
 from .errors import DegenerateArm, ScaleGuard, SizeMismatch
-from .hypergeom import _at_most, _comb_row
+from .hypergeom import _at_most, _check_alpha, _comb_row
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
+    "acceptor",
     "null_dist",
     "p_one_sided",
     "p_two_sided",
@@ -112,7 +120,7 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(scaled, denom), Fraction(w, cn)) for scaled, w in _scaled_atoms(N.as_tuple(), m)]
 
 
-def _tail_weight(cells: tuple[int, int, int, int], m: int, upper: int, lower: int | None) -> int:
+def _tail_weight(N11: int, N10: int, N01: int, N00: int, m: int, upper: int, lower: int | None) -> int:
     """Weight of the splits whose scaled statistic is >= upper or <= lower.
 
     lower=None means an upper tail only; otherwise lower < upper, so the
@@ -124,7 +132,6 @@ def _tail_weight(cells: tuple[int, int, int, int], m: int, upper: int, lower: in
     `_at_most(N01, N00, r2)`. Rows outside a tail are not visited, and where
     every row of an r2 is whole, Vandermonde's identity sums them at once.
     """
-    N11, N10, N01, N00 = cells
     n = N11 + N10 + N01 + N00
     step = n * m
     c11, c10 = _comb_row(N11), _comb_row(N10)
@@ -175,6 +182,53 @@ def _scaled_obs(nobs: ObservedTable) -> int:
     return n * (nobs.n11 * (n - m) - nobs.n01 * m)
 
 
+def _two_sided_weight(N11: int, N10: int, N01: int, N00: int, m: int, obs: int, mm: int) -> int | None:
+    """Two-sided tail weight at scaled observed statistic obs, mm = m*(n-m).
+
+    None when the observed estimate equals tau: every split is then as
+    extreme (p = 1), and the two tails would overlap, so there is no sum.
+    """
+    t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
+    margin = obs - t_tau if obs > t_tau else t_tau - obs
+    if margin == 0:
+        return None
+    return _tail_weight(N11, N10, N01, N00, m, t_tau + margin, t_tau - margin)
+
+
+def acceptor(
+    nobs: ObservedTable,
+    alpha: Fraction,
+    statistic: Literal["one_sided", "two_sided"] = "two_sided",
+) -> Callable[[int, int, int, int], bool]:
+    """accepts(N11, N10, N01, N00): whether the test of that table against nobs has p >= alpha.
+
+    The table must have nobs's size n. The size guard, alpha and statistic
+    are checked here, once, so a refusal comes before any test. p >= alpha
+    is decided as weight >= need = ceil(alpha * C(n, m)), an integer
+    comparison equivalent to the `Fraction` one.
+    """
+    alpha = _check_alpha(alpha)
+    n, m = nobs.n, nobs.m
+    _guard(n)
+    need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
+    obs = _scaled_obs(nobs)
+    if statistic == "one_sided":
+
+        def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
+            return _tail_weight(N11, N10, N01, N00, m, obs, None) >= need
+
+    elif statistic == "two_sided":
+        mm = m * (n - m)
+
+        def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
+            weight = _two_sided_weight(N11, N10, N01, N00, m, obs, mm)
+            return weight is None or weight >= need
+
+    else:
+        raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
+    return accepts
+
+
 def _check_pair(N: PotentialTable, nobs: ObservedTable) -> None:
     if N.n != nobs.n:
         raise SizeMismatch(f"potential table n={N.n} vs observed n={nobs.n}")
@@ -184,22 +238,17 @@ def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(estimate >= observed estimate) under N."""
     _check_pair(N, nobs)
     _guard(N.n)
-    weight = _tail_weight(N.as_tuple(), nobs.m, _scaled_obs(nobs), None)
+    weight = _tail_weight(*N.as_tuple(), nobs.m, _scaled_obs(nobs), None)
     return Fraction(weight, comb(N.n, nobs.m))
 
 
 def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(|estimate - tau| >= |observed estimate - tau|) under N.
 
-    An observed estimate equal to tau gives p = 1 without a sum, whose two
-    tails would overlap.
+    An observed estimate equal to tau gives p = 1 without a sum.
     """
     _check_pair(N, nobs)
     _guard(N.n)
     n, m = N.n, nobs.m
-    t_tau = m * (n - m) * N.ntau  # tau on the same cleared-denominator scale
-    margin = abs(_scaled_obs(nobs) - t_tau)
-    if margin == 0:
-        return Fraction(1)
-    weight = _tail_weight(N.as_tuple(), m, t_tau + margin, t_tau - margin)
-    return Fraction(weight, comb(n, m))
+    weight = _two_sided_weight(*N.as_tuple(), m, _scaled_obs(nobs), m * (n - m))
+    return Fraction(1) if weight is None else Fraction(weight, comb(n, m))

@@ -12,9 +12,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from exactci import randtest
 from exactci.methods import frontier_scan
 from exactci.randtest import p_one_sided, p_two_sided
 from exactci.tables import ObservedTable, PotentialTable, is_compatible
+
+
+def count_calls(monkeypatch, statistic: str) -> list:
+    """Record the cells of every test that searches with `statistic` decide.
+
+    Wraps `randtest.acceptor`, which the searches look up once per search,
+    so that every decision function it builds records each of its calls.
+    """
+    calls = []
+    make = randtest.acceptor
+
+    def counting(nobs, alpha, stat="two_sided"):
+        accepts = make(nobs, alpha, stat)
+        if stat != statistic:
+            return accepts
+        return lambda *cells: calls.append(cells) or accepts(*cells)
+
+    monkeypatch.setattr(randtest, "acceptor", counting)
+    return calls
 
 
 @dataclass(frozen=True)

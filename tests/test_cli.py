@@ -234,6 +234,27 @@ class TestEnumerate:
         assert len(rows) == 4
         assert all(Fraction(r["p_two_sided"]) > 0 for r in rows)
 
+    def test_alpha_decides_accepted_column(self, runner):
+        # the accepted column is p_two_sided >= alpha, so the level matters
+        by_alpha = {}
+        for alpha in ("0.05", "0.5"):
+            res = runner.invoke(
+                main, ["enumerate", "--table", "1,1,1,5", "--alpha", alpha, "--format", "csv"]
+            )
+            assert res.exit_code == 0
+            rows = list(csv.DictReader(io.StringIO(res.output)))
+            assert rows and all(
+                r["accepted"] == ("yes" if Fraction(r["p_two_sided"]) >= Fraction(alpha) else "no") for r in rows
+            )
+            by_alpha[alpha] = [r["accepted"] for r in rows]
+            text = runner.invoke(main, ["enumerate", "--table", "1,1,1,5", "--alpha", alpha])
+            assert text.exit_code == 0
+            lines = text.output.splitlines()
+            assert lines[0].split()[-2:] == ["p_two_sided", "accepted"]
+            assert [line.split()[-1] for line in lines[1:-1]] == by_alpha[alpha]
+        assert by_alpha["0.05"] != by_alpha["0.5"]
+        assert "no" in by_alpha["0.5"] and "yes" in by_alpha["0.05"]
+
     def test_degenerate_table(self, runner):
         res = runner.invoke(main, ["enumerate", "--table", "0,0,0,2"])
         assert res.exit_code == EXIT_VALIDATION

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import accepted_ntau_two_sided, observed_tables
+from conftest import accepted_ntau_two_sided, count_calls, observed_tables
 from test_acceptance import BONFERRONI_PUBLISHED, MARGIN_PUBLISHED
 
 from exactci import (
@@ -242,14 +242,6 @@ def cold_scans():
     methods._scan_summary.cache_clear()
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record every call of randtest's p-value function `name`."""
-    calls = []
-    fn = getattr(randtest, name)
-    monkeypatch.setattr(randtest, name, lambda N, nobs: calls.append(N) or fn(N, nobs))
-    return calls
-
-
 class TestScanReuse:
     """Frontier scans are shared through the cache; results never depend on it."""
 
@@ -305,7 +297,7 @@ class TestScanReuse:
                         assert (res.ci_ntau, res.tests) == (want, scan.tests), (nobs, alpha, direction)
 
     def test_mirror_and_conjugate_run_no_tests(self, cold_scans, monkeypatch):
-        calls = count_calls(monkeypatch, "p_two_sided")
+        calls = count_calls(monkeypatch, "two_sided")
         for cells in ((6, 4, 4, 6), (5, 4, 1, 2)):
             nobs = ObservedTable(*cells)
             first = ci_two_sided_frontier(nobs, ALPHA)
@@ -320,9 +312,10 @@ class TestScanReuse:
             assert calls == []
 
     def test_upper_reuses_mirror_lower(self, cold_scans, monkeypatch):
-        calls = count_calls(monkeypatch, "p_one_sided")
+        calls = count_calls(monkeypatch, "one_sided")
         nobs = ObservedTable(8, 4, 5, 7)
         lower = ci_one_sided(nobs, ALPHA, "lower")
+        assert len(calls) == lower.tests > 0
         calls.clear()
         upper = ci_one_sided(nobs.switch_y(), ALPHA, "upper")
         assert calls == []

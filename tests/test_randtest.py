@@ -10,6 +10,7 @@ import pytest
 
 from exactci import (
     DegenerateArm,
+    InvalidLevel,
     ObservedTable,
     PotentialTable,
     ScaleGuard,
@@ -24,7 +25,7 @@ from exactci import randtest
 from exactci.hypergeom import _at_most
 from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
 
-from conftest import observed_tables, potential_tables
+from conftest import count_calls, observed_tables, potential_tables
 from oracle import enumerate_assignments, units_from_table
 
 
@@ -122,18 +123,18 @@ class TestExactPValues:
         assert p_two_sided(N, nobs) == expect_two
 
     def test_counter_ticks(self, monkeypatch):
-        # the searches count one test per call of randtest's p-value functions
-        calls = []
-        for name in ("p_one_sided", "p_two_sided"):
-            fn = getattr(randtest, name)
-            monkeypatch.setattr(randtest, name, lambda N, nobs, fn=fn: calls.append(N) or fn(N, nobs))
+        # the searches count one test per call of the decision function that
+        # randtest.acceptor builds
+        two_sided = count_calls(monkeypatch, "two_sided")
+        one_sided = count_calls(monkeypatch, "one_sided")
         nobs = ObservedTable(2, 1, 1, 3)
-        for run in (
-            lambda: frontier_scan(nobs, Fraction(1, 20), "two_sided"),
-            lambda: frontier_scan(nobs, Fraction(1, 20), "one_sided"),
-            lambda: ci_brute_force(nobs, Fraction(1, 20)),
+        for calls, run in (
+            (two_sided, lambda: frontier_scan(nobs, Fraction(1, 20), "two_sided")),
+            (one_sided, lambda: frontier_scan(nobs, Fraction(1, 20), "one_sided")),
+            (two_sided, lambda: ci_brute_force(nobs, Fraction(1, 20))),
         ):
-            calls.clear()
+            two_sided.clear()
+            one_sided.clear()
             assert run().tests == len(calls) > 0
 
     def test_scale_guard_env_override(self, monkeypatch):
@@ -215,3 +216,81 @@ class TestDecisionPaths:
             _at_most(*key)
         assert _at_most.cache_info().currsize == bound
         _at_most.cache_clear()
+
+
+BOUNDARY_ALPHAS = (Fraction(1, 3), Fraction(1, 20), Fraction(7, 100), Fraction(1, 997))
+P_VALUES = {"one_sided": p_one_sided, "two_sided": p_two_sided}
+
+
+def zero_margin_pair(rng, n):
+    """A random pair of even size n = 2m whose observed estimate equals the table's tau."""
+    m = n // 2
+    n11, n01 = rng.randint(0, m), rng.randint(0, n - m)
+    ntau = 2 * (n11 - n01)  # n * tau_hat, an integer when n = 2m
+    N01 = rng.randint(max(0, -ntau), (n - ntau) // 2)
+    N10 = N01 + ntau
+    N11 = rng.randint(0, n - N10 - N01)
+    return PotentialTable(N11, N10, N01, n - N11 - N10 - N01), ObservedTable(n11, m - n11, n01, n - m - n01)
+
+
+class TestAcceptor:
+    """The integer threshold decides exactly as p >= alpha does."""
+
+    def check_pairs(self, pairs):
+        for statistic, p_value in P_VALUES.items():
+            for nobs, tables in pairs.items():
+                decide = {alpha: randtest.acceptor(nobs, alpha, statistic) for alpha in BOUNDARY_ALPHAS}
+                for N in tables:
+                    p = p_value(N, nobs)
+                    for alpha, accepts in decide.items():
+                        assert accepts(*N.as_tuple()) == (p >= alpha), (statistic, N, nobs, alpha)
+                    if 0 < p < 1:
+                        # alpha at the candidate's own p-value: the ceiling and
+                        # the >= accept it, anything above rejects it
+                        assert randtest.acceptor(nobs, p, statistic)(*N.as_tuple()), (statistic, N, nobs)
+                        above = p + Fraction(1, 10**9)
+                        if above < 1:
+                            assert not randtest.acceptor(nobs, above, statistic)(*N.as_tuple()), (statistic, N, nobs)
+
+    def test_every_pair_up_to_n8(self):
+        for n in range(2, 9):
+            tables = list(potential_tables(n))
+            self.check_pairs({nobs: tables for nobs in observed_tables(n)})
+
+    def test_random_pairs_n9_to_40(self):
+        rng = random.Random(1997)
+        pairs = {}
+        for n in range(9, 41):
+            for m in (None,) * 6 + (1, n - 1):
+                N, nobs = random_pair(rng, n, m)
+                pairs.setdefault(nobs, []).append(N)
+            if n % 2 == 0:
+                N, nobs = zero_margin_pair(rng, n)
+                assert N.tau == nobs.tau_hat
+                assert p_two_sided(N, nobs) == 1
+                pairs.setdefault(nobs, []).append(N)
+        self.check_pairs(pairs)
+
+    def test_zero_margin_accepts_without_a_sum(self, monkeypatch):
+        rng = random.Random(5)
+        pairs = [zero_margin_pair(rng, n) for n in range(10, 41, 2)]
+        monkeypatch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+        for N, nobs in pairs:
+            assert randtest.acceptor(nobs, Fraction(1, 997), "two_sided")(*N.as_tuple()), (N, nobs)
+
+    def test_refuses_before_it_returns(self, monkeypatch):
+        nobs = ObservedTable(2, 1, 1, 2)
+        monkeypatch.setenv(SCALE_GUARD_ENV, "5")
+        for statistic in P_VALUES:
+            with pytest.raises(ScaleGuard):
+                randtest.acceptor(nobs, Fraction(1, 20), statistic)
+        monkeypatch.setenv(SCALE_GUARD_ENV, "abc")
+        for statistic in P_VALUES:
+            with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
+                randtest.acceptor(nobs, Fraction(1, 20), statistic)
+        monkeypatch.setenv(SCALE_GUARD_ENV, "6")
+        assert randtest.acceptor(nobs, Fraction(1, 20), "two_sided")(2, 1, 1, 2)
+        with pytest.raises(ValueError, match="statistic"):
+            randtest.acceptor(nobs, Fraction(1, 20), "three_sided")
+        with pytest.raises(InvalidLevel):
+            randtest.acceptor(nobs, Fraction(1), "two_sided")
