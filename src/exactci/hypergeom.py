@@ -19,20 +19,43 @@ of the six example tables exactly.
 
 `_comb_row` holds the binomial coefficients that this module, `randtest` and
 `coverage` read, and `_at_most` the prefix rows that `randtest` and
-`coverage` share.
+`coverage` share. `_guard` is the size guard of every exact computation:
+`ci_count` checks it before building endpoint tables, and `randtest` and the
+methods before any randomization test.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .errors import InvalidLevel
+from .errors import InvalidLevel, ScaleGuard
 
 __all__ = ["ci_count"]
+
+#: Environment variable overriding the exact-computation size guard.
+SCALE_GUARD_ENV = "EXACTCI_MAX_EXACT_N"
+DEFAULT_MAX_EXACT_N = 300
+
+
+def max_exact_n() -> int:
+    """Largest n for which exact computations are allowed (env-overridable)."""
+    raw = os.environ.get(SCALE_GUARD_ENV)
+    if raw is None:
+        return DEFAULT_MAX_EXACT_N
+    if not raw.strip().isdecimal():
+        raise ValueError(f"{SCALE_GUARD_ENV} must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
+def _guard(n: int) -> None:
+    cap = max_exact_n()
+    if n > cap:
+        raise ScaleGuard(f"exact computation requested for n={n} > limit {cap}")
 
 
 @lru_cache(maxsize=1024)
@@ -176,10 +199,12 @@ def ci_count(total: int, sample: int, x: int, alpha: Fraction) -> tuple[int, int
     hi(sample - x)), nondecreasing in x, and exact (coverage at least
     1 - alpha). The shrink never lowers coverage to 1 - alpha or below,
     but where the equal-tail coverage already equals 1 - alpha it stays
-    there.
+    there. A total above the size guard raises `ScaleGuard` before any
+    table is built, whether or not the tables are cached.
     """
     alpha = _check_alpha(alpha)
     if not 0 <= x <= sample <= total:
         raise ValueError(f"need 0 <= x <= sample <= total, got x={x}, sample={sample}, total={total}")
+    _guard(total)
     los, his = _refined_endpoints(total, sample, alpha)
     return los[x], his[x]

@@ -9,19 +9,35 @@ weights are big integers, so every accept/reject decision is bit-exact.
 
 A search decides its tests by one integer comparison each. p >= alpha holds
 exactly when the tail weight is at least need = ceil(alpha * C(n, m)), so
-`acceptor` computes need, C(n, m) and the scaled observed statistic once per
-search and returns `accepts(N11, N10, N01, N00)`, which sums the tail and
-compares; it builds no table and no `Fraction`. `p_one_sided` and
-`p_two_sided` return the exact `Fraction` p-value for the public API and
-reuse the same tail bounds and sum, so both paths decide alike.
+`acceptor` computes need, C(n, m), the scaled observed statistic and the
+sums' orientation once per search and returns `accepts(N11, N10, N01, N00)`,
+which sums the tail until it reaches need and compares; it builds no table
+and no `Fraction`. `p_one_sided` and `p_two_sided` return the exact
+`Fraction` p-value for the public API and run the same sum to its end, so
+both paths decide alike.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
-(`_tail_weight`). With the treated counts (x11, x10) fixed, the scaled
-statistic is base + n*m*x01, which increases with x01, so a one-sided tail is
-one x01 range and a two-sided tail is two. A range that spans its row weighs
-C(N01 + N00, r2), where r2 = m - x11 - x10; a part of a row is one lookup in
-the row of prefix sums of C(N01, x01) * C(N00, r2 - x01) over x01,
-`hypergeom._at_most(N01, N00, r2)`.
+(`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
+u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
+- Orientation: the sum takes the slices of fixed s, which needs A >= B. For
+  m > n - m it sums the transposed table (N11, N01, N10, N00) with A and B
+  exchanged, which exchanges s and u and gives the same weight. One loop
+  serves every m.
+- Slices: with s fixed, r2 = m - s = x01 + x00 and the statistic increases
+  with u, so in each row x11 a one-sided tail is one x01 range and a
+  two-sided tail is two. A range that spans its row weighs C(N01 + N00, r2);
+  a part of a row is one lookup in the row of prefix sums of
+  C(N01, x01) * C(N00, r2 - x01) over x01, `hypergeom._at_most(N01, N00, r2)`.
+- Walks: a step from r2 to r2 + 1 lowers s by one and raises the slice's
+  least and greatest u by at most one each, so it changes the slice's least
+  and greatest statistic by at most B - A <= 0. The upper tail is a prefix
+  of the slices and the lower tail a suffix. The upper walk goes up from the
+  least r2, the lower walk down from the greatest, and each stops at its
+  first slice with no split in its tail; slices in neither tail are not
+  visited.
+- Stop: a search's sum returns once its weight reaches need, checked once
+  per slice. That decides the test as the full sum would, since the weight
+  only grows.
 
 The prefix rows depend only on (N01, N00, r2), so the neighbouring tables of
 a frontier scan, the repeated tests of a batch over one design and the
@@ -37,14 +53,14 @@ big-integer weights) and merges equal statistics; no p-value reads it.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Literal
 
-from .errors import DegenerateArm, ScaleGuard, SizeMismatch
-from .hypergeom import _at_most, _check_alpha, _comb_row
+from .errors import DegenerateArm, SizeMismatch
+from .hypergeom import _at_most, _check_alpha, _comb_row, _guard
+from .hypergeom import SCALE_GUARD_ENV, max_exact_n  # noqa: F401  (the guard's names, also read from here)
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
@@ -54,26 +70,6 @@ __all__ = [
     "p_two_sided",
     "max_exact_n",
 ]
-
-#: Environment variable overriding the exact-test size guard.
-SCALE_GUARD_ENV = "EXACTCI_MAX_EXACT_N"
-DEFAULT_MAX_EXACT_N = 300
-
-
-def max_exact_n() -> int:
-    """Largest n for which exact p-values are allowed (env-overridable)."""
-    raw = os.environ.get(SCALE_GUARD_ENV)
-    if raw is None:
-        return DEFAULT_MAX_EXACT_N
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{SCALE_GUARD_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
-
-
-def _guard(n: int) -> None:
-    cap = max_exact_n()
-    if n > cap:
-        raise ScaleGuard(f"exact computation requested for n={n} > limit {cap}")
 
 
 def _iter_splits(N: PotentialTable, m: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -120,59 +116,114 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(scaled, denom), Fraction(w, cn)) for scaled, w in _scaled_atoms(N.as_tuple(), m)]
 
 
-def _tail_weight(N11: int, N10: int, N01: int, N00: int, m: int, upper: int, lower: int | None) -> int:
+def _tail_weight(
+    N11: int,
+    N10: int,
+    N01: int,
+    N00: int,
+    m: int,
+    swap: bool,
+    upper: int,
+    lower: int | None = None,
+    stop: int | None = None,
+) -> int:
     """Weight of the splits whose scaled statistic is >= upper or <= lower.
 
     lower=None means an upper tail only; otherwise lower < upper, so the
-    tails are disjoint. With r2 = x01 + x00 fixed, x11 + x10 = m - r2 and
-    the scaled statistic of a split is base + n*m*(x11 + x01). So in each
-    row x11 the upper tail is one range x01 >= k - x11 and the lower tail
-    one range x01 <= j - x11. A range is the whole row, of weight
+    tails are disjoint. swap must be 2*m > n; the caller decides it once per
+    design. The scaled statistic is A*s + B*u - n*m*(N11 + N01), with
+    s = x11 + x10, u = x11 + x01, A = n*(n - m) and B = n*m. When swap is
+    set, the table is summed transposed, (N11, N01, N10, N00), with A and B
+    exchanged: that exchanges s and u and leaves every split's statistic,
+    and so the weight, unchanged. Either way A >= B below.
+
+    A slice fixes r2 = m - s. Within it the statistic is base + B*u, so in
+    each row x11 the upper tail is one range of the slice's other treated
+    count and the lower tail one range. A range is the whole row, of weight
     C(N01 + N00, r2), or a part, read off the prefix row
-    `_at_most(N01, N00, r2)`. Rows outside a tail are not visited, and where
-    every row of an r2 is whole, Vandermonde's identity sums them at once.
+    `_at_most(N01, N00, r2)`, and where every row of a slice is whole,
+    Vandermonde's identity sums them at once.
+
+    Going from r2 to r2 + 1, s falls by one and the greatest and least u
+    each rise by at most one, so a slice's greatest and least statistic
+    change by at most B - A <= 0. The upper tail is therefore a prefix of
+    the slices and the lower tail a suffix: the upper walk goes up from the
+    least r2 and the lower walk down from the greatest, and each ends at
+    its first slice with no split in its tail.
+
+    With stop, the sum returns as soon as the weight is >= stop, checked
+    once per slice; the result is then >= stop exactly when the full weight
+    is, but it need not be the full weight.
     """
     n = N11 + N10 + N01 + N00
-    step = n * m
+    nm = n * m
+    shift = nm * (N11 + N01)  # the statistic plus shift is A*s + B*u
+    if swap:
+        N10, N01 = N01, N10
+        A, B = nm, n * (n - m)
+    else:
+        A, B = n * (n - m), nm
+    upper += shift
     c11, c10 = _comb_row(N11), _comb_row(N10)
     c1, c0 = _comb_row(N11 + N10), _comb_row(N01 + N00)
+    r_least = m - N11 - N10 if m > N11 + N10 else 0
+    r_most = N01 + N00 if N01 + N00 < m else m
     weight = 0
-    for r2 in range(max(0, m - N11 - N10), min(m, N01 + N00) + 1):
+    for r2 in range(r_least, r_most + 1):
         s = m - r2
-        # x01 range [lo, hi] and x11 range [first, last] (conditionals are
-        # cheaper than max/min calls on this path)
+        # u = x11 + x01 with x01 in [lo, hi] and x11 in [first, last]
+        # (conditionals are cheaper than max/min calls on this path)
         lo = r2 - N00 if r2 > N00 else 0
         hi = r2 if r2 < N01 else N01
         first = s - N10 if s > N10 else 0
         last = s if s < N11 else N11
-        base = n * (s * (n - m) - (N11 + N01) * m)
-        full = c0[r2]
-        k = -((base - upper) // step)  # least x11 + x01 in the upper tail
+        k = -((A * s - upper) // B)  # least u in the upper tail
         a = k - hi if k - hi > first else first  # first row in the tail
+        if a > last:
+            break  # neither this slice nor any later one reaches upper
         b = k - lo if k - lo > a else a  # first whole row
+        full = c0[r2]
         if b == first:  # every row whole: Vandermonde's identity sums them
             weight += c1[s] * full
-        elif a <= last:
+        else:
+            whole = 0
             for x11 in range(b, last + 1):
-                weight += c11[x11] * c10[s - x11] * full
+                whole += c11[x11] * c10[s - x11]
+            weight += whole * full
             if a < b:
                 row = _at_most(N01, N00, r2)
-                for x11 in range(a, min(b, last + 1)):
+                for x11 in range(a, b if b <= last else last + 1):
                     weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
-        if lower is None:
-            continue
-        j = (lower - base) // step  # greatest x11 + x01 in the lower tail
+        if stop is not None and weight >= stop:
+            return weight
+    if lower is None:
+        return weight
+    lower += shift
+    for r2 in range(r_most, r_least - 1, -1):
+        s = m - r2
+        lo = r2 - N00 if r2 > N00 else 0
+        hi = r2 if r2 < N01 else N01
+        first = s - N10 if s > N10 else 0
+        last = s if s < N11 else N11
+        j = (lower - A * s) // B  # greatest u in the lower tail
         b = j - lo if j - lo < last else last  # last row in the tail
+        if b < first:
+            break  # neither this slice nor any earlier one reaches lower
         a = j - hi if j - hi < b else b  # last whole row
+        full = c0[r2]
         if a == last:  # every row whole
             weight += c1[s] * full
-        elif b >= first:
+        else:
+            whole = 0
             for x11 in range(first, a + 1):
-                weight += c11[x11] * c10[s - x11] * full
+                whole += c11[x11] * c10[s - x11]
+            weight += whole * full
             if a < b:
                 row = _at_most(N01, N00, r2)
-                for x11 in range(max(a + 1, first), b + 1):
+                for x11 in range(a + 1 if a >= first else first, b + 1):
                     weight += c11[x11] * c10[s - x11] * row[j - x11]
+        if stop is not None and weight >= stop:
+            return weight
     return weight
 
 
@@ -182,17 +233,20 @@ def _scaled_obs(nobs: ObservedTable) -> int:
     return n * (nobs.n11 * (n - m) - nobs.n01 * m)
 
 
-def _two_sided_weight(N11: int, N10: int, N01: int, N00: int, m: int, obs: int, mm: int) -> int | None:
+def _two_sided_weight(
+    N11: int, N10: int, N01: int, N00: int, m: int, swap: bool, obs: int, mm: int, stop: int | None = None
+) -> int | None:
     """Two-sided tail weight at scaled observed statistic obs, mm = m*(n-m).
 
-    None when the observed estimate equals tau: every split is then as
-    extreme (p = 1), and the two tails would overlap, so there is no sum.
+    swap and stop are passed on to `_tail_weight`. None when the observed
+    estimate equals tau: every split is then as extreme (p = 1), and the two
+    tails would overlap, so there is no sum.
     """
     t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
     margin = obs - t_tau if obs > t_tau else t_tau - obs
     if margin == 0:
         return None
-    return _tail_weight(N11, N10, N01, N00, m, t_tau + margin, t_tau - margin)
+    return _tail_weight(N11, N10, N01, N00, m, swap, t_tau + margin, t_tau - margin, stop)
 
 
 def acceptor(
@@ -205,23 +259,26 @@ def acceptor(
     The table must have nobs's size n. The size guard, alpha and statistic
     are checked here, once, so a refusal comes before any test. p >= alpha
     is decided as weight >= need = ceil(alpha * C(n, m)), an integer
-    comparison equivalent to the `Fraction` one.
+    comparison equivalent to the `Fraction` one, and each sum stops once it
+    reaches need. The sums' orientation is picked here too, since m is
+    fixed.
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
     _guard(n)
     need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
     obs = _scaled_obs(nobs)
+    swap = 2 * m > n
     if statistic == "one_sided":
 
         def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
-            return _tail_weight(N11, N10, N01, N00, m, obs, None) >= need
+            return _tail_weight(N11, N10, N01, N00, m, swap, obs, None, need) >= need
 
     elif statistic == "two_sided":
         mm = m * (n - m)
 
         def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
-            weight = _two_sided_weight(N11, N10, N01, N00, m, obs, mm)
+            weight = _two_sided_weight(N11, N10, N01, N00, m, swap, obs, mm, need)
             return weight is None or weight >= need
 
     else:
@@ -238,8 +295,9 @@ def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(estimate >= observed estimate) under N."""
     _check_pair(N, nobs)
     _guard(N.n)
-    weight = _tail_weight(*N.as_tuple(), nobs.m, _scaled_obs(nobs), None)
-    return Fraction(weight, comb(N.n, nobs.m))
+    n, m = N.n, nobs.m
+    weight = _tail_weight(*N.as_tuple(), m, 2 * m > n, _scaled_obs(nobs))
+    return Fraction(weight, comb(n, m))
 
 
 def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
@@ -250,5 +308,5 @@ def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     _check_pair(N, nobs)
     _guard(N.n)
     n, m = N.n, nobs.m
-    weight = _two_sided_weight(*N.as_tuple(), m, _scaled_obs(nobs), m * (n - m))
+    weight = _two_sided_weight(*N.as_tuple(), m, 2 * m > n, _scaled_obs(nobs), m * (n - m))
     return Fraction(1) if weight is None else Fraction(weight, comb(n, m))

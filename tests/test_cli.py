@@ -101,6 +101,14 @@ class TestCompute:
         res = runner.invoke(main, ["compute", "--table", "4,4,4,4", "--method", "two-sided"])
         assert res.exit_code == EXIT_SCALE
 
+    @pytest.mark.parametrize("method", ["bonferroni", "margin-inversion"])
+    def test_scale_guard_exit_code_count_methods(self, runner, method):
+        # the count methods run no randomization test but are guarded alike
+        res = runner.invoke(main, ["compute", "--table", "500,500,500,500", "--method", method])
+        assert res.exit_code == EXIT_SCALE
+        assert "n=2000 > limit 300" in res.stderr
+        assert res.stdout == ""
+
     def test_invalid_scale_guard_env(self, runner, monkeypatch):
         monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "abc")
         res = runner.invoke(main, ["compute", "--table", "1,1,1,5", "--method", "two-sided"])

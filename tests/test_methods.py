@@ -180,6 +180,28 @@ class TestCountMethods:
         a_lo, a_hi = attainable_ntau_range(nobs)
         assert a_lo <= lo <= hi <= a_hi
 
+    def test_size_guard(self, monkeypatch):
+        # n = 2000 is refused before any endpoint table is built, as the
+        # randomization methods refuse it
+        for fn in (ci_bonferroni, ci_margin_inversion):
+            with pytest.raises(ScaleGuard, match="n=2000"):
+                fn(ObservedTable(500, 500, 500, 500), ALPHA)
+        with pytest.raises(ScaleGuard):
+            ci_count(2000, 1000, 500, ALPHA)
+        # the same limit, read on every call whether or not the tables are cached
+        nobs = ObservedTable(4, 4, 4, 4)
+        before = [fn(nobs, ALPHA) for fn in (ci_bonferroni, ci_margin_inversion)]
+        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "15")
+        for fn in (ci_bonferroni, ci_margin_inversion):
+            with pytest.raises(ScaleGuard, match="limit 15"):
+                fn(nobs, ALPHA)
+        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "abc")
+        for fn in (ci_bonferroni, ci_margin_inversion):
+            with pytest.raises(ValueError, match=randtest.SCALE_GUARD_ENV):
+                fn(nobs, ALPHA)
+        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "16")
+        assert [fn(nobs, ALPHA) for fn in (ci_bonferroni, ci_margin_inversion)] == before
+
 
 class TestGeneralInvariants:
     @pytest.mark.parametrize("method", [

@@ -218,6 +218,33 @@ class TestDecisionPaths:
         _at_most.cache_clear()
 
 
+class TestTailWeight:
+    """`_tail_weight` against the definitional sums over the null distribution's atoms."""
+
+    def test_every_table_and_threshold_up_to_n9(self):
+        # every potential table of size n <= 9 against every m (what an
+        # observed table contributes to a sum), at every atom as a threshold
+        for n in range(2, 10):
+            for N, m in itertools.product(potential_tables(n), range(1, n)):
+                cells, swap = N.as_tuple(), 2 * m > n
+                atoms = randtest._scaled_atoms(cells, m)
+                values = [v for v, _ in atoms]
+                beyond = values[-1] + 1  # no split reaches it
+                # atoms and the points just beside them as one-tail thresholds
+                cases = [(v + d, None) for v in values for d in (0, 1)]
+                cases += [(beyond, v - d) for v in values for d in (0, 1)]
+                cases += [(v, w) for v, w in zip(values[1:], values)]  # adjacent atoms
+                cases += [(values[-1 - i], values[i]) for i in range(len(values) // 2)]
+                for upper, lower in cases:
+                    expect = sum(w for v, w in atoms if v >= upper or (lower is not None and v <= lower))
+                    full = randtest._tail_weight(*cells, m, swap, upper, lower)
+                    assert full == expect, (cells, m, upper, lower)
+                    for stop in {1, full // 2, full, full + 1}:
+                        early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
+                        assert (early >= stop) == (full >= stop), (cells, m, upper, lower, stop)
+                        assert early <= full
+
+
 BOUNDARY_ALPHAS = (Fraction(1, 3), Fraction(1, 20), Fraction(7, 100), Fraction(1, 997))
 P_VALUES = {"one_sided": p_one_sided, "two_sided": p_two_sided}
 
@@ -269,6 +296,18 @@ class TestAcceptor:
                 assert N.tau == nobs.tau_hat
                 assert p_two_sided(N, nobs) == 1
                 pairs.setdefault(nobs, []).append(N)
+        self.check_pairs(pairs)
+
+    def test_random_pairs_transposed(self):
+        # n/2 < m < n - 1: the sums run on the transposed table
+        rng = random.Random(2015)
+        pairs = {}
+        for n in range(11, 61):
+            for _ in range(3):
+                N, nobs = random_pair(rng, n, rng.randint(n // 2 + 1, n - 2))
+                pairs.setdefault(nobs, []).append(N)
+                if n <= 30:  # the definitional sum is O(n^3)
+                    assert p_both(N, nobs) == definitional_p(N, nobs), (N, nobs)
         self.check_pairs(pairs)
 
     def test_zero_margin_accepts_without_a_sum(self, monkeypatch):
