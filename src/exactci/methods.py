@@ -45,7 +45,6 @@ from .randtest import _guard
 from .tables import (
     ObservedTable,
     attainable_ntau_range,
-    compatible_n10,
     is_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
     iter_cell_decompositions,
     iter_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -87,7 +86,9 @@ class FrontierScan:
 
     frontiers maps (N11, N01) to the minimum accepted N10 (fallback value when
     nothing in range is accepted). accepted_ntau collects n*tau over
-    compatible tables on or above the frontier.
+    compatible tables on or above the frontier; a two-sided scan also caps
+    N10 at N01 + floor(n*tau_hat), so it collects only tables whose effect
+    is at most the observed estimate.
     """
 
     frontiers: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -108,8 +109,12 @@ def frontier_scan(
     negative forced fourth cell are skipped without testing; if no candidate
     is accepted the frontier takes its fallback value (one above the last
     admissible N10 for two-sided, n+1 for one-sided). The compatible tables
-    of a cell form one N10 interval (`compatible_n10`), so the accepted n*tau
-    of a cell are one range.
+    of a cell form one N10 interval [n11 - H0, n11 + n00 - L0], empty when
+    L0 > H0, with L0 = max(0, N11 - n01, N11 + N01 - n10 - n01) and
+    H0 = min(N11, n11, N11 + N01 - n01) (`compatible_n10` is the
+    definition). The parts of L0 and H0 free of N01 are computed once per
+    N11, so a cell costs a few integer comparisons, and its accepted n*tau
+    are one range.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
     label switch otherwise. Each test is one call of the decision function
@@ -117,34 +122,46 @@ def frontier_scan(
     by module attribute, so a wrapper set on that name sees every scan.
     """
     n, m = nobs.n, nobs.m
-    if statistic == "two_sided" and m > n - m:
-        raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
     two_sided = statistic == "two_sided"
+    if two_sided and m > n - m:
+        raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
     accepts = randtest.acceptor(nobs, alpha, statistic)
-    ntau_obs = nobs.tau_hat * n
-    floor_nt = math.floor(ntau_obs)  # exact: Fraction floor
+    floor_nt = math.floor(nobs.tau_hat * n)  # exact: Fraction floor
+    n11, n10, n01, n00 = nobs.as_tuple()
     out = FrontierScan()
-    for N11 in range(0, nobs.n11 + nobs.n01 + 1):
+    frontiers, accepted_ntau = out.frontiers, out.accepted_ntau
+    tests = 0
+    for N11 in range(0, n11 + n01 + 1):
+        # the parts of compatible_n10's bounds L0 and H0 that do not depend on N01
+        lo_row = N11 - n01 if N11 > n01 else 0
+        hi_row = N11 if N11 < n11 else n11
         carry = 0
         for N01 in range(0, n - N11 + 1):
             avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
-            hi = min(N01 + floor_nt, avail) if two_sided else avail
-            frontier = None
+            if two_sided:
+                top = N01 + floor_nt  # greatest N10 with effect <= the estimate
+                hi = top if top < avail else avail
+            else:
+                hi = avail
             N10 = carry
             while N10 <= hi:
-                out.tests += 1
-                if accepts(N11, N10, N01, n - N11 - N10 - N01):
-                    frontier = N10
+                tests += 1
+                if accepts(N11, N10, N01, avail - N10):
                     break
                 N10 += 1
-            if frontier is None:
-                frontier = (N01 + floor_nt + 1) if two_sided else (n + 1)
-            out.frontiers[(N11, N01)] = frontier
-            carry = max(frontier, 0)
-            compatible = compatible_n10(nobs, N11, N01)
-            first = max(carry, compatible.start)
-            last = min(hi, compatible.stop - 1)
-            out.accepted_ntau.update(range(first - N01, last - N01 + 1))
+            else:
+                N10 = top + 1 if two_sided else n + 1
+            frontiers[N11, N01] = N10
+            carry = N10 if N10 > 0 else 0
+            c = N11 + N01 - n01
+            L0 = c - n10 if c - n10 > lo_row else lo_row
+            H0 = c if c < hi_row else hi_row
+            if L0 <= H0:
+                first = n11 - H0 if n11 - H0 > carry else carry
+                last = n11 + n00 - L0 if n11 + n00 - L0 < hi else hi
+                if first <= last:
+                    accepted_ntau.update(range(first - N01, last - N01 + 1))
+    out.tests = tests
     return out
 
 

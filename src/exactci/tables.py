@@ -173,15 +173,17 @@ def iter_compatible(nobs: ObservedTable) -> Iterator[PotentialTable]:
     """Yield compatible potential tables in lexicographic (N11, N10, N01) order.
 
     N11 cannot exceed n11 + n01 for any compatible table, which bounds the
-    outer loop.
+    outer loop. Within one N11 the compatible N10 of each N01 are one
+    interval (`compatible_n10`), so a table is compatible exactly when its
+    N10 lies in its N01's interval.
     """
     n = nobs.n
     for N11 in range(0, nobs.n11 + nobs.n01 + 1):
+        cells = [(N01, compatible_n10(nobs, N11, N01)) for N01 in range(0, n - N11 + 1)]
         for N10 in range(0, n - N11 + 1):
-            for N01 in range(0, n - N11 - N10 + 1):
-                N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
-                if is_compatible(N, nobs):
-                    yield N
+            for N01, compatible in cells:
+                if N10 in compatible:
+                    yield PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
 
 
 def enumerate_compatible(nobs: ObservedTable) -> list[PotentialTable]:

@@ -5,6 +5,9 @@ distributions by iterating every size-m subset of an explicit unit list,
 compatibility by scanning candidate integer solutions, and acceptance
 frontiers by testing every N10 directly against the defining condition,
 and exact coverage by visiting every treated-count split of every true table.
+The reference scan and enumeration keep the straightforward loops the fast
+paths replaced: per-cell `compatible_n10` calls, and one `is_compatible`
+call per potential table.
 Deliberately slow; used only to cross-check the fast paths.
 """
 
@@ -20,16 +23,22 @@ from exactci import (
     ObservedTable,
     PotentialTable,
     ScaleGuard,
+    is_compatible,
     p_one_sided,
     p_two_sided,
+    randtest,
 )
+from exactci.methods import FrontierScan
 from exactci.randtest import _iter_splits
+from exactci.tables import compatible_n10
 
 __all__ = [
     "units_from_table",
     "enumerate_assignments",
     "brute_compatibility",
     "brute_frontier",
+    "reference_frontier_scan",
+    "reference_compatible",
     "induced_observed",
     "coverage_by_splits",
 ]
@@ -106,6 +115,64 @@ def brute_frontier(
     if statistic == "two_sided":
         return math.floor(N01 + ntau_obs) + 1
     return n + 1
+
+
+def reference_frontier_scan(
+    nobs: ObservedTable,
+    alpha: Fraction,
+    statistic: Literal["one_sided", "two_sided"] = "two_sided",
+) -> FrontierScan:
+    """`methods.frontier_scan` with one `compatible_n10` call per cell.
+
+    The same tests in the same order; each cell recomputes its compatible
+    N10 interval from the observed table and clips it with `max`/`min`.
+    """
+    n, m = nobs.n, nobs.m
+    if statistic == "two_sided" and m > n - m:
+        raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
+    two_sided = statistic == "two_sided"
+    accepts = randtest.acceptor(nobs, alpha, statistic)
+    ntau_obs = nobs.tau_hat * n
+    floor_nt = math.floor(ntau_obs)  # exact: Fraction floor
+    out = FrontierScan()
+    for N11 in range(0, nobs.n11 + nobs.n01 + 1):
+        carry = 0
+        for N01 in range(0, n - N11 + 1):
+            avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
+            hi = min(N01 + floor_nt, avail) if two_sided else avail
+            frontier = None
+            N10 = carry
+            while N10 <= hi:
+                out.tests += 1
+                if accepts(N11, N10, N01, n - N11 - N10 - N01):
+                    frontier = N10
+                    break
+                N10 += 1
+            if frontier is None:
+                frontier = (N01 + floor_nt + 1) if two_sided else (n + 1)
+            out.frontiers[(N11, N01)] = frontier
+            carry = max(frontier, 0)
+            compatible = compatible_n10(nobs, N11, N01)
+            first = max(carry, compatible.start)
+            last = min(hi, compatible.stop - 1)
+            out.accepted_ntau.update(range(first - N01, last - N01 + 1))
+    return out
+
+
+def reference_compatible(nobs: ObservedTable) -> list[PotentialTable]:
+    """Compatible potential tables in lexicographic (N11, N10, N01) order.
+
+    One `is_compatible` call per potential table with N11 <= n11 + n01.
+    """
+    n = nobs.n
+    found = []
+    for N11 in range(0, nobs.n11 + nobs.n01 + 1):
+        for N10 in range(0, n - N11 + 1):
+            for N01 in range(0, n - N11 - N10 + 1):
+                N = PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
+                if is_compatible(N, nobs):
+                    found.append(N)
+    return found
 
 
 def _iter_potential_tables(n: int):

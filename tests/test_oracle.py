@@ -1,18 +1,24 @@
 """The slow first-principles oracles themselves, and the fast paths against them."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from exactci import ObservedTable, PotentialTable, ScaleGuard, frontier_scan
+from exactci import ObservedTable, PotentialTable, ScaleGuard, enumerate_compatible, frontier_scan
 
-from conftest import observed_tables
+from conftest import count_calls, observed_tables
 from oracle import (
     brute_compatibility,
     brute_frontier,
     enumerate_assignments,
+    reference_compatible,
+    reference_frontier_scan,
     units_from_table,
 )
+
+ALPHAS = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 
 
 class TestUnits:
@@ -62,3 +68,58 @@ class TestBruteFrontier:
                             assert frontier == brute_frontier(
                                 N11, N01, nobs, alpha, statistic
                             ), (nobs, alpha, statistic, N11, N01)
+
+
+class TestReferenceScan:
+    """`frontier_scan` against the reference scan's per-cell loop."""
+
+    @staticmethod
+    def assert_same_scan(nobs, alpha, statistic, calls):
+        calls.clear()
+        scan = frontier_scan(nobs, alpha, statistic)
+        tested = calls[:]
+        calls.clear()
+        ref = reference_frontier_scan(nobs, alpha, statistic)
+        key = (nobs, alpha, statistic)
+        assert list(scan.frontiers.items()) == list(ref.frontiers.items()), key
+        assert scan.accepted_ntau == ref.accepted_ntau, key
+        assert scan.tests == ref.tests == len(tested), key
+        assert tested == calls, key
+
+    def test_every_table_up_to_n12(self, monkeypatch):
+        calls = {s: count_calls(monkeypatch, s) for s in ("one_sided", "two_sided")}
+        for n in range(2, 13):
+            for nobs in observed_tables(n):
+                for alpha in ALPHAS:
+                    self.assert_same_scan(nobs, alpha, "one_sided", calls["one_sided"])
+                    if nobs.m <= n - nobs.m:
+                        self.assert_same_scan(nobs, alpha, "two_sided", calls["two_sided"])
+
+    def test_random_tables_n13_to_40(self, monkeypatch):
+        # one-sided scans on every m, two-sided on the conjugate when m > n/2;
+        # about six in seven tables have an empty observed cell
+        calls = {s: count_calls(monkeypatch, s) for s in ("one_sided", "two_sided")}
+        rng = random.Random(2015)
+        deadline = time.monotonic() + 3.0
+        checked = unbalanced = empty = 0
+        while checked < 30 or time.monotonic() < deadline:
+            n = rng.randint(13, 40)
+            m = rng.randint(1, n - 1)
+            n11 = rng.choice((0, m, rng.randint(0, m), rng.randint(0, m)))
+            n01 = rng.choice((0, n - m, rng.randint(0, n - m), rng.randint(0, n - m)))
+            nobs = ObservedTable(n11, m - n11, n01, n - m - n01)
+            alpha = rng.choice(ALPHAS)
+            self.assert_same_scan(nobs, alpha, "one_sided", calls["one_sided"])
+            work = nobs.switch_z() if m > n - m else nobs
+            self.assert_same_scan(work, alpha, "two_sided", calls["two_sided"])
+            checked += 1
+            unbalanced += m > n - m
+            empty += 0 in nobs.as_tuple()
+        assert unbalanced and 0 < empty < checked
+
+
+class TestReferenceCompatible:
+    def test_every_table_up_to_n12(self):
+        for n in range(2, 13):
+            for nobs in observed_tables(n):
+                assert enumerate_compatible(nobs) == reference_compatible(nobs), nobs
