@@ -11,14 +11,20 @@ The sweep visits no split. It calls the method once for each of the
 induced by some true table, e.g. (n11, n01) by N = (0, n11, n01, n - n11 - n01)
 when every N10 unit is treated and no N01 unit is. For each n*tau value t and
 each n11 it then records the maximal runs of n01 whose interval contains t.
-With (x11, x10) fixed, n01 is affine in x01, so a run is one x01 range, and
-its weight is one difference of prefix sums of C(N01, x01) * C(N00, r2 - x01)
-over x01, where r2 = m - n11. Those prefix sums are the rows of
+With n11 fixed, n01 = y + z, where y = N11 - x11 type-11 and z = N01 - x01
+type-01 units stay in control; the splits of a true table with that n11 are
+every y in one range paired with every z in another, with r2 = m - n11 =
+x01 + x00. Most often one run spans the whole n01 support [least y + least z,
+greatest y + greatest z]: then every such split is covered, and by
+Vandermonde's identity they weigh C(N11 + N10, n11) * C(N01 + N00, r2), one
+product. Otherwise, with (x11, x10) fixed, n01 is affine in x01, so a run is
+one x01 range, and its weight is one difference of prefix sums of
+C(N01, x01) * C(N00, r2 - x01) over x01. Those prefix sums are the rows of
 `hypergeom._at_most`, which the randomization tests read too; they depend
 only on (N01, N00, r2), so they are built once for all the true tables and
-tests that share them. A true table thus costs O(n^2 * runs) lookups instead
-of O(n^3) splits. No monotonicity of the method is assumed: where coverage is
-not contiguous in n01, there are simply more runs.
+tests that share them. A true table thus costs at most O(n^2 * runs)
+lookups instead of O(n^3) splits. No monotonicity of the method is assumed:
+where coverage is not contiguous in n01, there are simply more runs.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from operator import mul, sub
 from typing import Callable
 
 from .errors import ScaleGuard
-from .hypergeom import _at_most, _comb_row
+from .hypergeom import _at_most, _check_alpha, _comb_row
 from .tables import ObservedTable, PotentialTable
 
 __all__ = ["CoverageReport", "exact_coverage_sweep"]
@@ -113,35 +119,52 @@ def _covered_weight(
 
     The true table is (N11, N10, N01, N00), at_most_rows is
     `_at_most_rows(N01, N00, m, n)` and runs_at_t is `_covering_runs(...)` at
-    its n*tau.
+    its n*tau. For each n11 with a split, one run that spans the whole n01
+    support adds C(N11 + N10, n11) * C(N01 + N00, m - n11), the weight of all
+    its splits by Vandermonde's identity; otherwise every run adds one
+    difference of prefix sums for each number of type-11 units left in
+    control.
     """
+    N00 = n - N11 - N10 - N01
+    N1, N0 = N11 + N10, N01 + N00
+    c1, c0 = _comb_row(N1), _comb_row(N0)
     # Lists, not tuples: slices of many lengths would each fill a tuple free list.
     c11, c10 = list(_comb_row(N11)), list(_comb_row(N10))
     offset = n - m + 1 + N01
     covered = 0
     for n11, runs in runs_at_t:
-        # The treated hold x11 + x10 = n11 units of type 11 or 10, and leave
-        # y = N11 - x11 type-11 units in control; then n01 = y + N01 - x01, so
-        # n01 >= start iff x01 <= y + N01 - start.
-        y_lo = max(0, N11 - n11)
-        k = min(N11, n11, N10, N11 + N10 - n11) + 1  # number of y values
-        if k <= 0:
-            continue
-        # C(N11, x11) * C(N10, x10) for y = y_lo..y_lo + k - 1
-        w = list(map(mul, c11[y_lo : y_lo + k], c10[n11 - N11 + y_lo :]))
-        at_most = at_most_rows[m - n11]
-        base = offset + y_lo
+        r2 = m - n11
+        if n11 > N1 or r2 > N0:
+            continue  # no split has n11 treated responders
+        # The treated hold x11 + x10 = n11 units of type 11 or 10 and x01 of
+        # type 01, and leave y = N11 - x11 and z = N01 - x01 in control, so
+        # n01 = y + z (conditionals are cheaper than max/min calls on this path)
+        y_lo = N11 - n11 if n11 < N11 else 0
+        y_hi = N1 - n11 if n11 > N10 else N11
+        first = y_lo + (N01 - r2 if r2 < N01 else 0)
+        last = y_hi + (N0 - r2 if r2 > N00 else N01)
         for start, stop in runs:
-            i, j = base - start, base - stop
-            in_run = map(sub, at_most[i : i + k], at_most[j : j + k])
-            covered += sum(map(mul, w, in_run))
+            if start <= first and stop > last:
+                covered += c1[n11] * c0[r2]  # Vandermonde's identity
+                break
+        else:
+            # n01 >= start iff x01 <= y + N01 - start
+            k = y_hi - y_lo + 1  # number of y values
+            # C(N11, x11) * C(N10, x10) for y = y_lo..y_hi
+            w = list(map(mul, c11[y_lo : y_hi + 1], c10[n11 - N11 + y_lo :]))
+            at_most = at_most_rows[r2]
+            base = offset + y_lo
+            for start, stop in runs:
+                i, j = base - start, base - stop
+                in_run = map(sub, at_most[i : i + k], at_most[j : j + k])
+                covered += sum(map(mul, w, in_run))
     return covered
 
 
 def exact_coverage_sweep(
     n: int,
     m: int,
-    alpha: Fraction,
+    alpha: Fraction | float,
     ci_fn: CIFn,
 ) -> CoverageReport:
     """Exact coverage of ci_fn for every potential table of size n.
@@ -149,15 +172,21 @@ def exact_coverage_sweep(
     ci_fn maps an observed table to an (n*tau lower, upper) interval. It is
     called exactly once for each of the (m + 1)(n - m + 1) observed tables of
     the design, in (n11, n01) order, before any true table is weighed; all of
-    them are reachable. Each true table then costs O(n^2 * runs) prefix-sum
-    lookups, where runs is the number of maximal n01 ranges at fixed n11 whose
-    interval holds its n*tau: one where the covering n01 values are
-    contiguous, more where they are not.
+    them are reachable. Each true table then costs one product for each n11
+    whose whole n01 support one run covers, and O(n * runs) prefix-sum
+    lookups for each other n11, where runs is the number of maximal n01
+    ranges at that n11 whose interval holds its n*tau: one where the covering
+    n01 values are contiguous, more where they are not.
+
+    alpha is read as every method reads it, a float by its shortest decimal
+    form (0.05 is 1/20); a level outside (0, 1) raises `InvalidLevel` before
+    ci_fn is called.
     """
     if n > MAX_COVERAGE_N:
         raise ScaleGuard(f"exact coverage sweep limited to n <= {MAX_COVERAGE_N}, got {n}")
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
+    alpha = _check_alpha(alpha)
     runs = _covering_runs(n, m, ci_fn)
     cn = comb(n, m)
     rows = []
@@ -170,4 +199,4 @@ def exact_coverage_sweep(
                 covered = _covered_weight(N11, N10, N01, m, n, runs_at_t, at_most_rows)
                 rows.append((PotentialTable(N11, N10, N01, N00), Fraction(covered, cn)))
     rows.sort(key=lambda row: row[0].as_tuple())  # by (N11, N10, N01)
-    return CoverageReport(n, m, Fraction(alpha), tuple(rows))
+    return CoverageReport(n, m, alpha, tuple(rows))

@@ -5,9 +5,10 @@ distributions by iterating every size-m subset of an explicit unit list,
 compatibility by scanning candidate integer solutions, and acceptance
 frontiers by testing every N10 directly against the defining condition,
 and exact coverage by visiting every treated-count split of every true table.
-The reference scan and enumeration keep the straightforward loops the fast
-paths replaced: per-cell `compatible_n10` calls, and one `is_compatible`
-call per potential table.
+The reference scan, enumeration and coverage weight keep the straightforward
+loops the fast paths replaced: per-cell `compatible_n10` calls, one
+`is_compatible` call per potential table, and one difference of prefix sums
+per covering run.
 Deliberately slow; used only to cross-check the fast paths.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul, sub
 from typing import Callable, Literal
 
 from exactci import (
@@ -28,6 +30,7 @@ from exactci import (
     p_two_sided,
     randtest,
 )
+from exactci.hypergeom import _comb_row
 from exactci.methods import FrontierScan
 from exactci.randtest import _iter_splits
 from exactci.tables import compatible_n10
@@ -41,6 +44,7 @@ __all__ = [
     "reference_compatible",
     "induced_observed",
     "coverage_by_splits",
+    "reference_covered_weight",
 ]
 
 MAX_ENUM_N = 14
@@ -219,3 +223,42 @@ def coverage_by_splits(
                 covered += w
         rows.append((N, Fraction(covered, cn)))
     return CoverageReport(n, m, Fraction(alpha), tuple(rows))
+
+
+def reference_covered_weight(
+    N11: int,
+    N10: int,
+    N01: int,
+    m: int,
+    n: int,
+    runs_at_t: list[tuple[int, list[tuple[int, int]]]],
+    at_most_rows: list[list[int]],
+) -> int:
+    """`coverage._covered_weight` with every run weighed by prefix sums.
+
+    Number of size-m assignments whose interval covers the true n*tau. The
+    true table is (N11, N10, N01, N00), at_most_rows is
+    `coverage._at_most_rows(N01, N00, m, n)` and runs_at_t is
+    `coverage._covering_runs(...)` at its n*tau.
+    """
+    # Lists, not tuples: slices of many lengths would each fill a tuple free list.
+    c11, c10 = list(_comb_row(N11)), list(_comb_row(N10))
+    offset = n - m + 1 + N01
+    covered = 0
+    for n11, runs in runs_at_t:
+        # The treated hold x11 + x10 = n11 units of type 11 or 10, and leave
+        # y = N11 - x11 type-11 units in control; then n01 = y + N01 - x01, so
+        # n01 >= start iff x01 <= y + N01 - start.
+        y_lo = max(0, N11 - n11)
+        k = min(N11, n11, N10, N11 + N10 - n11) + 1  # number of y values
+        if k <= 0:
+            continue
+        # C(N11, x11) * C(N10, x10) for y = y_lo..y_lo + k - 1
+        w = list(map(mul, c11[y_lo : y_lo + k], c10[n11 - N11 + y_lo :]))
+        at_most = at_most_rows[m - n11]
+        base = offset + y_lo
+        for start, stop in runs:
+            i, j = base - start, base - stop
+            in_run = map(sub, at_most[i : i + k], at_most[j : j + k])
+            covered += sum(map(mul, w, in_run))
+    return covered

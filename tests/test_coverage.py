@@ -1,12 +1,14 @@
 """Exact coverage sweeps over every potential table of a design."""
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from exactci import (
+    InvalidLevel,
     ObservedTable,
     PotentialTable,
     ScaleGuard,
@@ -18,7 +20,7 @@ from exactci import (
 from exactci import coverage
 from exactci.randtest import _iter_splits
 
-from oracle import coverage_by_splits, induced_observed
+from oracle import coverage_by_splits, induced_observed, reference_covered_weight
 
 ALPHA = Fraction(1, 20)
 SWEEP_METHODS = ("bonferroni", "margin_inversion", "two_sided_frontier", "one_sided_lower")
@@ -107,6 +109,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             exact_coverage_sweep(6, 0, ALPHA, lambda nobs: (-6, 6))
 
+    def test_float_alpha_read_by_its_decimal_form(self):
+        report = exact_coverage_sweep(4, 2, 0.05, lambda nobs: (-4, 4))
+        assert report.alpha == Fraction(1, 20)
+
+    @pytest.mark.parametrize("alpha", (1.5, Fraction(0), 1))
+    def test_invalid_alpha_before_any_interval(self, alpha):
+        calls = []
+        with pytest.raises(InvalidLevel):
+            exact_coverage_sweep(4, 2, alpha, lambda nobs: calls.append(nobs) or (-4, 4))
+        assert calls == []
+
 
 class TestAgainstSplitOracle:
     """The run-based sweep against the split-by-split oracle."""
@@ -147,6 +160,86 @@ class TestAgainstSplitOracle:
             exact_coverage_sweep(n, m, ALPHA, ci_fn)
             assert len(calls) == (m + 1) * (n - m + 1)
             assert calls == observed_tables_of_design(n, m)  # (n11, n01) order
+
+
+def n01_support(N: PotentialTable, m: int, n11: int) -> tuple[int, int] | None:
+    """Least and greatest n01 over the splits of N with n11 treated responders.
+
+    n01 = y + z, with y type-11 and z type-01 units left in control; None if
+    no split has n11.
+    """
+    r2 = m - n11
+    ys = [N.N11 - x11 for x11 in range(N.N11 + 1) if 0 <= n11 - x11 <= N.N10]
+    zs = [N.N01 - x01 for x01 in range(N.N01 + 1) if 0 <= r2 - x01 <= N.N00]
+    if not ys or not zs:
+        return None
+    return min(ys) + min(zs), max(ys) + max(zs)
+
+
+def wide_random_intervals(n: int, m: int, rng: random.Random) -> dict[ObservedTable, tuple[int, int]]:
+    """An arbitrary interval per observed table, most of them holding 0."""
+    return {
+        nobs: (rng.randint(-n - 1, 1), rng.randint(-1, n + 1))
+        for nobs in observed_tables_of_design(n, m)
+    }
+
+
+class TestReferenceWeight:
+    """`_covered_weight` against the prefix-sum-only reference, true table by true table."""
+
+    @staticmethod
+    def assert_same_weights(n, m, ci_fn, ends=None):
+        """Compare every true table's weight; count run ends near supports in ends."""
+        runs = coverage._covering_runs(n, m, ci_fn)
+        for N01 in range(n + 1):
+            for N00 in range(n - N01 + 1):
+                rows = coverage._at_most_rows(N01, N00, m, n)
+                for N11 in range(n - N01 - N00 + 1):
+                    N10 = n - N01 - N00 - N11
+                    runs_at_t = runs[N10 - N01 + n]
+                    got = coverage._covered_weight(N11, N10, N01, m, n, runs_at_t, rows)
+                    want = reference_covered_weight(N11, N10, N01, m, n, runs_at_t, rows)
+                    assert got == want, (n, m, (N11, N10, N01, N00))
+                    if ends is None:
+                        continue
+                    N = PotentialTable(N11, N10, N01, N00)
+                    for n11, n11_runs in runs_at_t:
+                        support = n01_support(N, m, n11)
+                        if support is None:
+                            continue
+                        for start, stop in n11_runs:
+                            for bound, offset in (("first", start - support[0]), ("last", stop - 1 - support[1])):
+                                if -1 <= offset <= 1:
+                                    ends[bound, offset] += 1
+
+    @pytest.mark.parametrize("method", ("bonferroni", "margin_inversion"))
+    def test_count_methods_every_design_n13_n14(self, method):
+        for alpha in (Fraction(1, 10), Fraction(1, 20)):
+            ci_fn = method_ci_fn(method, alpha)
+            for n in (13, 14):
+                for m in range(1, n):
+                    self.assert_same_weights(n, m, ci_fn)
+
+    @pytest.mark.parametrize("method", ("two_sided_frontier", "one_sided_lower"))
+    def test_randomization_methods(self, method):
+        for alpha in (Fraction(1, 10), Fraction(1, 20)):
+            for n, m in ((14, 7), (13, 3)):
+                self.assert_same_weights(n, m, method_ci_fn(method, alpha))
+
+    def test_random_intervals(self):
+        # runs that start and end exactly at, one inside and one outside each
+        # bound of some n11's n01 support
+        rng = random.Random(20152)
+        ends = dict.fromkeys(((b, o) for b in ("first", "last") for o in (-1, 0, 1)), 0)
+        deadline = time.monotonic() + 3.0
+        checked = 0
+        while checked < 8 or time.monotonic() < deadline:
+            n = rng.randint(10, 14)
+            m = rng.randint(1, n - 1)
+            make = rng.choice((random_intervals, wide_random_intervals))
+            self.assert_same_weights(n, m, make(n, m, rng).__getitem__, ends)
+            checked += 1
+        assert all(ends.values()), ends
 
 
 class TestExhaustiveCoverageBeyondCap:
