@@ -22,15 +22,25 @@ one x01 range, and its weight is one difference of prefix sums of
 C(N01, x01) * C(N00, r2 - x01) over x01. Those prefix sums are the rows of
 `hypergeom._at_most`, which the randomization tests read too; they depend
 only on (N01, N00, r2), so they are built once for all the true tables and
-tests that share them. A true table thus costs at most O(n^2 * runs)
-lookups instead of O(n^3) splits. No monotonicity of the method is assumed:
-where coverage is not contiguous in n01, there are simply more runs.
+tests that share them, and only such partial (true table, n11) pairs read
+them. A true table thus costs at most O(n^2 * runs) lookups instead of
+O(n^3) splits. No monotonicity of the method is assumed: where coverage is
+not contiguous in n01, there are simply more runs.
+
+Most methods are mirror-equivariant: the interval of switch_y(X) is -(the
+interval of X) for every observed X. The sweep checks this on the runs,
+which hold the intervals clipped to [-n, n] with every empty one alike.
+If it holds, a true table N = (N11, N10, N01, N00) and its mirror
+N' = (N00, N01, N10, N11) have the same coverage, since under any one
+assignment N' induces switch_y of the table N induces and has n*tau' =
+-n*tau; so one table of each pair is weighed. Otherwise every table is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul, sub
 from typing import Callable
@@ -92,18 +102,37 @@ def _covering_runs(n: int, m: int, ci_fn: CIFn) -> list[RunsAtT]:
     ]
 
 
-def _at_most_rows(N01: int, N00: int, m: int, n: int) -> list[list[int]]:
-    """rows[r2][j + n - m + 1]: ways to draw r2 of the N01 + N00 units with x01 <= j.
+def _mirror_equivariant(runs: list[RunsAtT], n: int, m: int) -> bool:
+    """True if the interval of switch_y(X) is -(the interval of X) for every X.
 
-    Each row is the shared prefix row `_at_most(N01, N00, r2)`, padded so
-    that every j in [-(n - m + 1), n] is an index.
+    The intervals are compared as the runs hold them: clipped to [-n, n],
+    with every empty interval alike. switch_y maps the observed table
+    (n11, n01) to (m - n11, n - m - n01), so the runs at -t must be those at t
+    with both indices reflected.
     """
-    left = [0] * (n - m + 1)
-    rows = []
-    for r2 in range(m + 1):
-        at_most = _at_most(N01, N00, r2)
-        rows.append([*left, *at_most, *at_most[-1:] * (n + 1 - len(at_most))])
-    return rows
+    top = n - m + 1
+    for t in range(n + 1):
+        reflected = [
+            (m - n11, [(top - stop, top - start) for start, stop in reversed(n11_runs)])
+            for n11, n11_runs in reversed(runs[t])
+        ]
+        if runs[2 * n - t] != reflected:
+            return False
+    return True
+
+
+@lru_cache(maxsize=4)
+def _true_tables(n: int) -> tuple[PotentialTable, ...]:
+    """Every potential table of size n, in (N11, N10, N01) order.
+
+    Reports of size n share these immutable tables.
+    """
+    return tuple(
+        PotentialTable(N11, N10, N01, n - N11 - N10 - N01)
+        for N11 in range(n + 1)
+        for N10 in range(n - N11 + 1)
+        for N01 in range(n - N11 - N10 + 1)
+    )
 
 
 def _covered_weight(
@@ -113,23 +142,20 @@ def _covered_weight(
     m: int,
     n: int,
     runs_at_t: RunsAtT,
-    at_most_rows: list[list[int]],
 ) -> int:
     """Number of size-m assignments whose interval covers the true n*tau.
 
-    The true table is (N11, N10, N01, N00), at_most_rows is
-    `_at_most_rows(N01, N00, m, n)` and runs_at_t is `_covering_runs(...)` at
-    its n*tau. For each n11 with a split, one run that spans the whole n01
-    support adds C(N11 + N10, n11) * C(N01 + N00, m - n11), the weight of all
-    its splits by Vandermonde's identity; otherwise every run adds one
-    difference of prefix sums for each number of type-11 units left in
-    control.
+    The true table is (N11, N10, N01, N00) and runs_at_t is
+    `_covering_runs(...)` at its n*tau. For each n11 with a split, one run
+    that spans the whole n01 support adds C(N11 + N10, n11) * C(N01 + N00,
+    m - n11), the weight of all its splits by Vandermonde's identity;
+    otherwise every run adds one difference of prefix sums for each number
+    of type-11 units left in control, read from the row
+    `_at_most(N01, N00, m - n11)`.
     """
     N00 = n - N11 - N10 - N01
     N1, N0 = N11 + N10, N01 + N00
     c1, c0 = _comb_row(N1), _comb_row(N0)
-    # Lists, not tuples: slices of many lengths would each fill a tuple free list.
-    c11, c10 = list(_comb_row(N11)), list(_comb_row(N10))
     offset = n - m + 1 + N01
     covered = 0
     for n11, runs in runs_at_t:
@@ -151,8 +177,11 @@ def _covered_weight(
             # n01 >= start iff x01 <= y + N01 - start
             k = y_hi - y_lo + 1  # number of y values
             # C(N11, x11) * C(N10, x10) for y = y_lo..y_hi
-            w = list(map(mul, c11[y_lo : y_hi + 1], c10[n11 - N11 + y_lo :]))
-            at_most = at_most_rows[r2]
+            w = list(map(mul, _comb_row(N11)[y_lo : y_hi + 1], _comb_row(N10)[n11 - N11 + y_lo :]))
+            # at_most[j + n - m + 1]: draws of r2 with x01 <= j, for every
+            # j in [-(n - m + 1), n]
+            row = _at_most(N01, N00, r2)
+            at_most = [*[0] * (n - m + 1), *row, *row[-1:] * (n + 1 - len(row))]
             base = offset + y_lo
             for start, stop in runs:
                 i, j = base - start, base - stop
@@ -176,11 +205,19 @@ def exact_coverage_sweep(
     whose whole n01 support one run covers, and O(n * runs) prefix-sum
     lookups for each other n11, where runs is the number of maximal n01
     ranges at that n11 whose interval holds its n*tau: one where the covering
-    n01 values are contiguous, more where they are not.
+    n01 values are contiguous, more where they are not. Only those partial
+    n11 read a prefix row.
 
-    alpha is read as every method reads it, a float by its shortest decimal
-    form (0.05 is 1/20); a level outside (0, 1) raises `InvalidLevel` before
-    ci_fn is called.
+    If the interval of switch_y(X) is -(the interval of X) for every observed
+    X, clipped to [-n, n] and with empty intervals alike, only one table of
+    each mirror pair N = (N11, N10, N01, N00), N' = (N00, N01, N10, N11) is
+    weighed, and the other gets the same coverage: under any one assignment
+    N' induces switch_y of the table N induces, and its n*tau is -n*tau.
+
+    per_table is in (N11, N10, N01) order; its `PotentialTable` objects are
+    shared with every other report of size n. alpha is read as every method
+    reads it, a float by its shortest decimal form (0.05 is 1/20); a level
+    outside (0, 1) raises `InvalidLevel` before ci_fn is called.
     """
     if n > MAX_COVERAGE_N:
         raise ScaleGuard(f"exact coverage sweep limited to n <= {MAX_COVERAGE_N}, got {n}")
@@ -188,15 +225,22 @@ def exact_coverage_sweep(
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     alpha = _check_alpha(alpha)
     runs = _covering_runs(n, m, ci_fn)
+    mirrored = _mirror_equivariant(runs, n, m)
     cn = comb(n, m)
-    rows = []
-    for N01 in range(n + 1):
-        for N00 in range(n - N01 + 1):
-            at_most_rows = _at_most_rows(N01, N00, m, n)
-            for N11 in range(n - N01 - N00 + 1):
-                N10 = n - N01 - N00 - N11
-                runs_at_t = runs[N10 - N01 + n]
-                covered = _covered_weight(N11, N10, N01, m, n, runs_at_t, at_most_rows)
-                rows.append((PotentialTable(N11, N10, N01, N00), Fraction(covered, cn)))
-    rows.sort(key=lambda row: row[0].as_tuple())  # by (N11, N10, N01)
-    return CoverageReport(n, m, alpha, tuple(rows))
+    # weights of the mirrors of weighed tables, by (N11, N10, N01)
+    pending: dict[tuple[int, int, int], int] = {}
+    coverage_of: dict[int, Fraction] = {}
+    coverages = []
+    for N11 in range(n + 1):
+        for N10 in range(n - N11 + 1):
+            for N01 in range(n - N11 - N10 + 1):
+                covered = pending.pop((N11, N10, N01), None)
+                if covered is None:
+                    covered = _covered_weight(N11, N10, N01, m, n, runs[N10 - N01 + n])
+                    if mirrored:
+                        pending[n - N11 - N10 - N01, N01, N10] = covered
+                coverage = coverage_of.get(covered)
+                if coverage is None:
+                    coverage = coverage_of[covered] = Fraction(covered, cn)
+                coverages.append(coverage)
+    return CoverageReport(n, m, alpha, tuple(zip(_true_tables(n), coverages)))

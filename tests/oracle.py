@@ -30,7 +30,7 @@ from exactci import (
     p_two_sided,
     randtest,
 )
-from exactci.hypergeom import _comb_row
+from exactci.hypergeom import _at_most, _comb_row
 from exactci.methods import FrontierScan
 from exactci.randtest import _iter_splits
 from exactci.tables import compatible_n10
@@ -45,6 +45,7 @@ __all__ = [
     "induced_observed",
     "coverage_by_splits",
     "reference_covered_weight",
+    "at_most_rows",
 ]
 
 MAX_ENUM_N = 14
@@ -225,6 +226,20 @@ def coverage_by_splits(
     return CoverageReport(n, m, Fraction(alpha), tuple(rows))
 
 
+def at_most_rows(N01: int, N00: int, m: int, n: int) -> list[list[int]]:
+    """rows[r2][j + n - m + 1]: ways to draw r2 of the N01 + N00 units with x01 <= j.
+
+    Each row is the shared prefix row `hypergeom._at_most(N01, N00, r2)`,
+    padded so that every j in [-(n - m + 1), n] is an index.
+    """
+    left = [0] * (n - m + 1)
+    rows = []
+    for r2 in range(m + 1):
+        at_most = _at_most(N01, N00, r2)
+        rows.append([*left, *at_most, *at_most[-1:] * (n + 1 - len(at_most))])
+    return rows
+
+
 def reference_covered_weight(
     N11: int,
     N10: int,
@@ -238,7 +253,7 @@ def reference_covered_weight(
 
     Number of size-m assignments whose interval covers the true n*tau. The
     true table is (N11, N10, N01, N00), at_most_rows is
-    `coverage._at_most_rows(N01, N00, m, n)` and runs_at_t is
+    `at_most_rows(N01, N00, m, n)` and runs_at_t is
     `coverage._covering_runs(...)` at its n*tau.
     """
     # Lists, not tuples: slices of many lengths would each fill a tuple free list.

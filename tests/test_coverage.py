@@ -20,7 +20,7 @@ from exactci import (
 from exactci import coverage
 from exactci.randtest import _iter_splits
 
-from oracle import coverage_by_splits, induced_observed, reference_covered_weight
+from oracle import at_most_rows, coverage_by_splits, induced_observed, reference_covered_weight
 
 ALPHA = Fraction(1, 20)
 SWEEP_METHODS = ("bonferroni", "margin_inversion", "two_sided_frontier", "one_sided_lower")
@@ -162,6 +162,95 @@ class TestAgainstSplitOracle:
             assert calls == observed_tables_of_design(n, m)  # (n11, n01) order
 
 
+def count_weighings(monkeypatch) -> list[int]:
+    """Counts `coverage._covered_weight` calls, i.e. true tables weighed."""
+    calls = [0]
+    weigh = coverage._covered_weight
+
+    def counted(*args):
+        calls[0] += 1
+        return weigh(*args)
+
+    monkeypatch.setattr(coverage, "_covered_weight", counted)
+    return calls
+
+
+def weighed_if_mirrored(n: int) -> int:
+    """(C(n + 3, 3) + s) / 2: one table of each mirror pair, s self-mirror tables."""
+    tables = [N.as_tuple() for N in coverage._true_tables(n)]
+    s = sum(t == t[::-1] for t in tables)
+    assert len(tables) == comb(n + 3, 3)
+    return (len(tables) + s) // 2
+
+
+class TestMirrorShortcut:
+    """One table of each mirror pair is weighed only when the intervals allow it."""
+
+    @pytest.mark.parametrize("n, m", ((6, 3), (5, 2), (6, 2)))
+    def test_one_broken_table_refuses_the_shortcut(self, monkeypatch, n, m):
+        # bonferroni is mirror-equivariant; moving one observed table's
+        # interval by one grid point breaks it there and only there, also
+        # where the table is its own mirror, as (1, 1, 2, 2) at (6, 2)
+        base = {nobs: ci_bonferroni(nobs, ALPHA).ci_ntau for nobs in observed_tables_of_design(n, m)}
+        assert all(base[x.switch_y()] == (-hi, -lo) for x, (lo, hi) in base.items())
+        calls = count_weighings(monkeypatch)
+        for broken in base:
+            lo, hi = base[broken]
+            intervals = {**base, broken: (lo + 1, hi + 1)}
+            calls[0] = 0
+            report = exact_coverage_sweep(n, m, ALPHA, intervals.__getitem__)
+            assert calls[0] == comb(n + 3, 3), broken
+            assert report == coverage_by_splits(n, m, ALPHA, intervals.__getitem__), broken
+
+    def test_clipped_and_empty_intervals_take_the_shortcut(self, monkeypatch):
+        # mirror-equivariant once clipped to [-n, n] and with every empty
+        # interval alike, but not as written
+        rng = random.Random(20153)
+        calls = count_weighings(monkeypatch)
+        for n, m in ((6, 3), (7, 3), (8, 4), (9, 5)):
+            intervals: dict[ObservedTable, tuple[int, int]] = {}
+            for x in observed_tables_of_design(n, m):
+                if x.switch_y() in intervals:
+                    lo, hi = intervals[x.switch_y()]
+                    intervals[x] = (-hi, -lo)
+                elif x.switch_y() == x:
+                    a = rng.randint(-1, n + 1)
+                    intervals[x] = (-a, a)
+                else:
+                    intervals[x] = (rng.randint(-n - 1, n + 1), rng.randint(-n - 1, n + 1))
+            for x, (lo, hi) in intervals.items():
+                if max(lo, -n) > min(hi, n):
+                    new = rng.choice(((hi + rng.randint(1, 3), hi), (n + rng.randint(1, 3),) * 2, (-n - 3, -n - 1)))
+                else:
+                    new = (lo - rng.randint(0, 3) if lo <= -n else lo, hi + rng.randint(0, 3) if hi >= n else hi)
+                intervals[x] = new
+            assert any(intervals[x.switch_y()] != (-hi, -lo) for x, (lo, hi) in intervals.items())
+            calls[0] = 0
+            report = exact_coverage_sweep(n, m, ALPHA, intervals.__getitem__)
+            assert calls[0] == weighed_if_mirrored(n), (n, m)
+            assert report == coverage_by_splits(n, m, ALPHA, intervals.__getitem__), (n, m)
+
+    @pytest.mark.parametrize("method", ("bonferroni", "margin_inversion", "two_sided_frontier"))
+    @pytest.mark.parametrize("n, m", ((8, 4), (9, 3), (14, 5)))
+    def test_equivariant_methods_weigh_one_table_per_pair(self, monkeypatch, method, n, m):
+        calls = count_weighings(monkeypatch)
+        exact_coverage_sweep(n, m, ALPHA, method_ci_fn(method, ALPHA))
+        assert calls[0] == weighed_if_mirrored(n)
+
+    @pytest.mark.parametrize("n, m", ((8, 4), (9, 3), (14, 5)))
+    def test_one_sided_lower_weighs_every_table(self, monkeypatch, n, m):
+        calls = count_weighings(monkeypatch)
+        exact_coverage_sweep(n, m, ALPHA, method_ci_fn("one_sided_lower", ALPHA))
+        assert calls[0] == comb(n + 3, 3)
+
+    def test_reports_share_their_tables(self):
+        a = exact_coverage_sweep(7, 3, ALPHA, lambda nobs: (-7, 7))
+        b = exact_coverage_sweep(7, 2, ALPHA, lambda nobs: (0, 0))
+        assert all(M is N for (M, _), (N, _) in zip(a.per_table, b.per_table))
+        tables = [N.as_tuple() for N, _ in a.per_table]
+        assert tables == sorted(tables)
+
+
 def n01_support(N: PotentialTable, m: int, n11: int) -> tuple[int, int] | None:
     """Least and greatest n01 over the splits of N with n11 treated responders.
 
@@ -193,11 +282,11 @@ class TestReferenceWeight:
         runs = coverage._covering_runs(n, m, ci_fn)
         for N01 in range(n + 1):
             for N00 in range(n - N01 + 1):
-                rows = coverage._at_most_rows(N01, N00, m, n)
+                rows = at_most_rows(N01, N00, m, n)
                 for N11 in range(n - N01 - N00 + 1):
                     N10 = n - N01 - N00 - N11
                     runs_at_t = runs[N10 - N01 + n]
-                    got = coverage._covered_weight(N11, N10, N01, m, n, runs_at_t, rows)
+                    got = coverage._covered_weight(N11, N10, N01, m, n, runs_at_t)
                     want = reference_covered_weight(N11, N10, N01, m, n, runs_at_t, rows)
                     assert got == want, (n, m, (N11, N10, N01, N00))
                     if ends is None:
