@@ -84,7 +84,10 @@ def _check_alpha(alpha: Fraction | float) -> Fraction:
 
     A float is read by its shortest decimal form, as the CLI reads the
     literal: 0.1 is 1/10, not the binary value 0.1000000000000000055...
+    A valid `Fraction` is returned as it is, without a new one.
     """
+    if type(alpha) is Fraction and 0 < alpha.numerator < alpha.denominator:
+        return alpha
     alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
     if not 0 < alpha < 1:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")

@@ -17,6 +17,10 @@ Every result carries the count of randomization tests its construction
 needs for that table (one test = one accept/reject decision for one
 candidate table; frontier fallback assignments count zero). A table that is its own
 outcome-label mirror needs one frontier scan for both sides, so it counts one.
+A test counts as one whether a tail sum decides it or one of the exact
+decision bounds that `randtest.acceptor` keeps per design, just as a cached
+scan summary counts its scan's tests; so a count, like an interval, depends
+only on the table, the level and the method, never on what ran before.
 
 The frontier constructions read each scan through a private cache of scan
 summaries (the least and greatest accepted n*tau, or none, and the scan's

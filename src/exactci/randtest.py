@@ -9,12 +9,22 @@ weights are big integers, so every accept/reject decision is bit-exact.
 
 A search decides its tests by one integer comparison each. p >= alpha holds
 exactly when the tail weight is at least need = ceil(alpha * C(n, m)), so
-`acceptor` computes need, C(n, m), the scaled observed statistic and the
-sums' orientation once per search and returns `accepts(N11, N10, N01, N00)`,
-which sums the tail until it reaches need and compares; it builds no table
-and no `Fraction`. `p_one_sided` and `p_two_sided` return the exact
-`Fraction` p-value for the public API and run the same sum to its end, so
-both paths decide alike.
+`acceptor` computes need and the scaled observed statistic once per search
+and returns `accepts(N11, N10, N01, N00)`, which builds no table and no
+`Fraction`. `p_one_sided` and `p_two_sided` return the exact `Fraction`
+p-value for the public API from the same tail-sum body, `_tail_weight`, run
+to its end, so both paths decide alike.
+
+Every search of one group (n, m, need, statistic) draws its decisions from
+that group's decision kernel (see `acceptor`): constants hoisted out of the
+tests, among them the binomial rows of every count up to n as one tuple
+(`_comb_rows`), so a test makes no `_comb_row` call and calls `_tail_weight`
+directly; and exact decision bounds, so that a test already settled by an
+earlier decision on the same table runs no sum. The tail weight never increases
+as the observed statistic (one-sided) or the margin |obs - tau| (two-sided)
+grows, which makes the bounds exact. Bounds are held for the two most
+recently used groups only (`_BOUNDS_HELD`); a coverage sweep or a frontier
+CI uses one.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
@@ -37,7 +47,7 @@ u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
   visited.
 - Stop: a search's sum returns once its weight reaches need, checked once
   per slice. That decides the test as the full sum would, since the weight
-  only grows.
+  only grows. The public p-values pass no stop.
 
 The prefix rows depend only on (N01, N00, r2), so the neighbouring tables of
 a frontier scan, the repeated tests of a batch over one design and the
@@ -116,6 +126,12 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(scaled, denom), Fraction(w, cn)) for scaled, w in _scaled_atoms(N.as_tuple(), m)]
 
 
+@lru_cache(maxsize=16)
+def _comb_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """rows[c] = C(c, k) for k = 0..c, for every count c = 0..n of a size-n table."""
+    return tuple(map(_comb_row, range(n + 1)))
+
+
 def _tail_weight(
     N11: int,
     N10: int,
@@ -126,6 +142,7 @@ def _tail_weight(
     upper: int,
     lower: int | None = None,
     stop: int | None = None,
+    rows: tuple[tuple[int, ...], ...] | None = None,
 ) -> int:
     """Weight of the splits whose scaled statistic is >= upper or <= lower.
 
@@ -135,7 +152,8 @@ def _tail_weight(
     s = x11 + x10, u = x11 + x01, A = n*(n - m) and B = n*m. When swap is
     set, the table is summed transposed, (N11, N01, N10, N00), with A and B
     exchanged: that exchanges s and u and leaves every split's statistic,
-    and so the weight, unchanged. Either way A >= B below.
+    and so the weight, unchanged. Either way A >= B below. rows, if given,
+    is `_comb_rows(n)`; `acceptor` reads it once per search and passes it.
 
     A slice fixes r2 = m - s. Within it the statistic is base + B*u, so in
     each row x11 the upper tail is one range of the slice's other treated
@@ -164,8 +182,10 @@ def _tail_weight(
     else:
         A, B = n * (n - m), nm
     upper += shift
-    c11, c10 = _comb_row(N11), _comb_row(N10)
-    c1, c0 = _comb_row(N11 + N10), _comb_row(N01 + N00)
+    if rows is None:
+        rows = _comb_rows(n)
+    c11, c10 = rows[N11], rows[N10]
+    c1, c0 = rows[N11 + N10], rows[N01 + N00]
     r_least = m - N11 - N10 if m > N11 + N10 else 0
     r_most = N01 + N00 if N01 + N00 < m else m
     weight = 0
@@ -233,20 +253,20 @@ def _scaled_obs(nobs: ObservedTable) -> int:
     return n * (nobs.n11 * (n - m) - nobs.n01 * m)
 
 
-def _two_sided_weight(
-    N11: int, N10: int, N01: int, N00: int, m: int, swap: bool, obs: int, mm: int, stop: int | None = None
-) -> int | None:
-    """Two-sided tail weight at scaled observed statistic obs, mm = m*(n-m).
+#: Decision bounds are held for this many groups, least recently used first.
+_BOUNDS_HELD = 2
+#: Group (n, m, need, statistic) -> (accepted, rejected): each maps a tested
+#: table (N11, N10, N01) to the largest key accepted and the least key rejected.
+_bounds: dict[tuple[int, int, int, str], tuple[dict, dict]] = {}
 
-    swap and stop are passed on to `_tail_weight`. None when the observed
-    estimate equals tau: every split is then as extreme (p = 1), and the two
-    tails would overlap, so there is no sum.
-    """
-    t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
-    margin = obs - t_tau if obs > t_tau else t_tau - obs
-    if margin == 0:
-        return None
-    return _tail_weight(N11, N10, N01, N00, m, swap, t_tau + margin, t_tau - margin, stop)
+
+def _group_bounds(group: tuple[int, int, int, str]) -> tuple[dict, dict]:
+    """The bounds of a group, made the newest; the oldest beyond `_BOUNDS_HELD` are dropped."""
+    bounds = _bounds.pop(group, None) or ({}, {})
+    if len(_bounds) == _BOUNDS_HELD:
+        del _bounds[next(iter(_bounds))]
+    _bounds[group] = bounds
+    return bounds
 
 
 def acceptor(
@@ -260,29 +280,73 @@ def acceptor(
     are checked here, once, so a refusal comes before any test. p >= alpha
     is decided as weight >= need = ceil(alpha * C(n, m)), an integer
     comparison equivalent to the `Fraction` one, and each sum stops once it
-    reaches need. The sums' orientation is picked here too, since m is
-    fixed.
+    reaches need.
+
+    The decision function draws on its group's kernel, group = (n, m, need,
+    statistic):
+    - Constants, computed once per search: need, the sums' orientation
+      (swap = 2*m > n), m*(n - m), the scaled observed statistic, and the
+      binomial rows `_comb_rows(n)`, which `_tail_weight` indexes by count.
+    - Exact decision bounds, shared by every search of the group: for each
+      tested table (N11, N10, N01), the largest key accepted so far and the
+      least key rejected. The key is the scaled observed statistic of a
+      one-sided test and the margin |obs - m*(n - m)*(N10 - N01)| of a
+      two-sided one. For a fixed table and m the tail {statistic >= key},
+      or {|statistic - tau| >= key}, only shrinks as the key grows, so the
+      weight never increases: a key at or below the accepted bound has
+      weight >= need and accepts, and a key at or above the rejected bound
+      rejects, each without a sum. Only a key between the two is summed,
+      and its decision moves one bound. A two-sided margin of 0 (p = 1)
+      accepts without a sum. Keying the group by need, not alpha, keeps
+      every decision weight >= need, so the bounds decide exactly as the
+      sums would, and no result depends on what the bounds hold.
+    Bounds are held for the two most recently used groups only
+    (`_BOUNDS_HELD`): a coverage sweep or a frontier CI uses one, and at
+    most two groups' tested tables take memory at once.
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
     _guard(n)
-    need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
+    if statistic not in ("one_sided", "two_sided"):
+        raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
+    rows = _comb_rows(n)
+    need = -(-alpha.numerator * rows[n][m] // alpha.denominator)
+    accepted, rejected = _group_bounds((n, m, need, statistic))
+    accepted_key, rejected_key = accepted.get, rejected.get
+    swap, mm = 2 * m > n, m * (n - m)
     obs = _scaled_obs(nobs)
-    swap = 2 * m > n
+    ceiling = 2 * n * mm + 1  # above every key
     if statistic == "one_sided":
+        floor = -ceiling  # below every key
 
         def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
-            return _tail_weight(N11, N10, N01, N00, m, swap, obs, None, need) >= need
-
-    elif statistic == "two_sided":
-        mm = m * (n - m)
-
-        def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
-            weight = _two_sided_weight(N11, N10, N01, N00, m, swap, obs, mm, need)
-            return weight is None or weight >= need
+            cell = N11, N10, N01
+            if obs <= accepted_key(cell, floor):
+                return True
+            if obs >= rejected_key(cell, ceiling):
+                return False
+            if _tail_weight(N11, N10, N01, N00, m, swap, obs, None, need, rows) >= need:
+                accepted[cell] = obs
+                return True
+            rejected[cell] = obs
+            return False
 
     else:
-        raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
+
+        def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
+            t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
+            margin = obs - t_tau if obs > t_tau else t_tau - obs
+            cell = N11, N10, N01
+            if margin <= accepted_key(cell, 0):  # a margin of 0 accepts: p = 1
+                return True
+            if margin >= rejected_key(cell, ceiling):
+                return False
+            if _tail_weight(N11, N10, N01, N00, m, swap, t_tau + margin, t_tau - margin, need, rows) >= need:
+                accepted[cell] = margin
+                return True
+            rejected[cell] = margin
+            return False
+
     return accepts
 
 
@@ -303,10 +367,15 @@ def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
 def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     """Exact P(|estimate - tau| >= |observed estimate - tau|) under N.
 
-    An observed estimate equal to tau gives p = 1 without a sum.
+    An observed estimate equal to tau gives p = 1 without a sum; the two
+    tails would overlap there.
     """
     _check_pair(N, nobs)
     _guard(N.n)
     n, m = N.n, nobs.m
-    weight = _two_sided_weight(*N.as_tuple(), m, 2 * m > n, _scaled_obs(nobs), m * (n - m))
-    return Fraction(1) if weight is None else Fraction(weight, comb(n, m))
+    t_tau = m * (n - m) * (N.N10 - N.N01)
+    margin = abs(_scaled_obs(nobs) - t_tau)
+    if margin == 0:
+        return Fraction(1)
+    weight = _tail_weight(*N.as_tuple(), m, 2 * m > n, t_tau + margin, t_tau - margin)
+    return Fraction(weight, comb(n, m))

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from exactci import InvalidLevel, ci_count
-from exactci.hypergeom import _equal_tail_tables
+from exactci.hypergeom import _check_alpha, _equal_tail_tables
 
 ALPHAS = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 # levels the count-based methods ask for: alpha itself (margin inversion)
@@ -197,6 +197,25 @@ class TestCiCount:
             ci_count(10, 5, 2, Fraction(0))
         with pytest.raises(ValueError):
             ci_count(10, 5, 6, Fraction(1, 20))
+
+
+
+class TestCheckAlpha:
+    def test_valid_fraction_is_returned_as_is(self):
+        for alpha in (Fraction(1, 20), Fraction(1, 3), Fraction(999, 1000)):
+            assert _check_alpha(alpha) is alpha
+
+    def test_out_of_range_fractions(self):
+        for alpha, shown in ((Fraction(0), "0"), (Fraction(1), "1"), (Fraction(-1, 2), "-1/2"), (Fraction(3, 2), "3/2")):
+            with pytest.raises(InvalidLevel, match=rf"^alpha must be in \(0, 1\), got {shown}$"):
+                _check_alpha(alpha)
+
+    def test_float_int_and_str_levels(self):
+        assert _check_alpha(0.1) == Fraction(1, 10)
+        assert _check_alpha("1/20") == _check_alpha("0.05") == Fraction(1, 20)
+        for alpha, shown in ((1.5, "3/2"), (0, "0"), (1, "1"), ("-0.5", "-1/2")):
+            with pytest.raises(InvalidLevel, match=rf"^alpha must be in \(0, 1\), got {shown}$"):
+                _check_alpha(alpha)
 
 
 def exhaustive_coverage_ok(total: int, sample: int, alpha: Fraction, refine: bool) -> bool:

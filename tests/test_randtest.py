@@ -333,3 +333,160 @@ class TestAcceptor:
             randtest.acceptor(nobs, Fraction(1, 20), "three_sided")
         with pytest.raises(InvalidLevel):
             randtest.acceptor(nobs, Fraction(1), "two_sided")
+
+
+def design_tables(n, m):
+    """Every observed table of design (n, m)."""
+    return [ObservedTable(n11, m - n11, n01, n - m - n01) for n11 in range(m + 1) for n01 in range(n - m + 1)]
+
+
+def need_of(n, m, alpha):
+    return -(-alpha.numerator * comb(n, m) // alpha.denominator)
+
+
+def search(nobs, alpha, statistic):
+    """What a search of nobs decides: a frontier scan, or brute force for a two-sided m > n - m."""
+    if statistic == "two_sided" and nobs.m > nobs.n - nobs.m:
+        return ci_brute_force(nobs, alpha)
+    return frontier_scan(nobs, alpha, statistic)
+
+
+def record_decisions(monkeypatch):
+    """(decisions, sums): every search test as (nobs, alpha, cells, accepted), and the tail sums run."""
+    decisions, sums = [], []
+    make, tail = randtest.acceptor, randtest._tail_weight
+
+    def recording(nobs, alpha, statistic="two_sided"):
+        accepts = make(nobs, alpha, statistic)
+
+        def decide(*cells):
+            accepted = accepts(*cells)
+            decisions.append((nobs, alpha, cells, accepted))
+            return accepted
+
+        return decide
+
+    def counting(*args):
+        sums.append(args[:4])
+        return tail(*args)
+
+    monkeypatch.setattr(randtest, "acceptor", recording)
+    monkeypatch.setattr(randtest, "_tail_weight", counting)
+    return decisions, sums
+
+
+class TestDecisionKernel:
+    """Decisions read off a group's exact bounds equal the `Fraction` p-value's."""
+
+    # (n, m, statistic, the two levels interleaved on it); m > n - m included
+    DESIGNS = (
+        (6, 2, "two_sided", (Fraction(1, 20), Fraction(1, 3))),
+        (7, 5, "two_sided", (Fraction(1, 10), Fraction(1, 4))),
+        (9, 6, "one_sided", (Fraction(1, 20), Fraction(1, 10))),
+        (12, 5, "two_sided", (Fraction(1, 20), Fraction(1, 10))),
+        (14, 10, "one_sided", (Fraction(1, 100), Fraction(1, 20))),
+        (19, 9, "one_sided", (Fraction(1, 20), Fraction(1, 10))),
+        (23, 11, "two_sided", (Fraction(1, 100), Fraction(1, 20))),
+        (30, 13, "two_sided", (Fraction(1, 20), Fraction(1, 10))),
+        (30, 18, "one_sided", (Fraction(1, 20), Fraction(1, 10))),
+    )
+
+    def test_shuffled_scans_match_p_values(self, monkeypatch):
+        rng = random.Random(1507)
+        designs = list(self.DESIGNS)
+        deadline = time.monotonic() + 4.0
+        while time.monotonic() < deadline or designs:
+            if designs:
+                n, m, statistic, alphas = designs.pop(0)
+            else:  # seeded extra designs until the deadline
+                n = rng.randint(6, 30)
+                m = rng.randint(1, n - 1) if n <= 12 else rng.randint(1, n // 2)
+                statistic = rng.choice(("one_sided", "two_sided"))
+                alphas = rng.sample((Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 3)), 2)
+            randtest._bounds.clear()
+            decisions, sums = record_decisions(monkeypatch)
+            tables = design_tables(n, m)
+            rng.shuffle(tables)
+            # scan the design's tables at both levels in turn, up to a few thousand tests
+            for nobs in tables:
+                for alpha in rng.sample(alphas, 2):
+                    search(nobs, alpha, statistic)
+                if len(decisions) > 3000:
+                    break
+            monkeypatch.undo()
+            p_value = P_VALUES[statistic]
+            p_of = {}
+            for nobs, alpha, cells, accepted in decisions:
+                key = (cells, nobs.tau_hat)  # m and n are the design's
+                if key not in p_of:
+                    p_of[key] = p_value(PotentialTable(*cells), nobs)
+                assert accepted == (p_of[key] >= alpha), (n, m, statistic, nobs, alpha, cells)
+            assert len(sums) < len(decisions), (n, m, statistic)  # the bounds decided some tests
+
+    def test_bounds_decide_a_share_of_a_design(self, monkeypatch):
+        # a design's scans settle most of their tests by bounds, not sums
+        decisions, sums = record_decisions(monkeypatch)
+        randtest._bounds.clear()
+        for statistic in ("one_sided", "two_sided"):
+            for nobs in design_tables(12, 6):
+                frontier_scan(nobs, Fraction(1, 20), statistic)
+        assert 2 * len(sums) < len(decisions)
+
+    def test_scan_does_not_depend_on_held_bounds(self):
+        rng = random.Random(27)
+        for n, m, statistic in ((12, 5, "two_sided"), (13, 9, "one_sided"), (16, 8, "two_sided"), (17, 4, "one_sided")):
+            tables = design_tables(n, m)
+            rng.shuffle(tables)
+            target, others = tables[0], tables[1:]
+            alpha = Fraction(1, 20)
+            randtest._bounds.clear()
+            for nobs in others:
+                frontier_scan(nobs, alpha, statistic)
+            warm = frontier_scan(target, alpha, statistic)
+            randtest._bounds.clear()
+            cold = frontier_scan(target, alpha, statistic)
+            assert warm == cold, (n, m, statistic, target)
+            assert warm.tests == cold.tests > 0
+
+    def test_repeated_scan_needs_no_sum(self, monkeypatch):
+        # a key equal to a bound is decided by that bound, accepted or rejected
+        for nobs, statistic in (
+            (ObservedTable(3, 4, 6, 3), "two_sided"),
+            (ObservedTable(5, 2, 1, 8), "one_sided"),
+            (ObservedTable(7, 3, 2, 4), "one_sided"),  # m > n - m
+        ):
+            randtest._bounds.clear()
+            with monkeypatch.context() as patch:
+                decisions, sums = record_decisions(patch)
+                first = frontier_scan(nobs, Fraction(1, 20), statistic)
+            assert {accepted for *_, accepted in decisions} == {True, False}, (nobs, statistic)
+            assert sums
+            with monkeypatch.context() as patch:
+                patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+                assert frontier_scan(nobs, Fraction(1, 20), statistic) == first, (nobs, statistic)
+
+    def test_groups_are_keyed_by_need(self):
+        # p lies between the two levels: the lower accepts, the higher rejects,
+        # whichever is asked first
+        N, nobs = PotentialTable(2, 3, 1, 6), ObservedTable(4, 2, 1, 5)
+        low, high = Fraction(1, 20), Fraction(1, 3)
+        for statistic, p_value in P_VALUES.items():
+            assert low <= p_value(N, nobs) < high, statistic
+            for order in ((low, high), (high, low)):
+                randtest._bounds.clear()
+                for alpha in order * 2:
+                    assert randtest.acceptor(nobs, alpha, statistic)(*N.as_tuple()) == (alpha == low), (statistic, alpha)
+
+    def test_newest_two_groups_are_held(self):
+        nobs = ObservedTable(2, 3, 1, 4)
+        n, m = nobs.n, nobs.m
+        b = (n, m, need_of(n, m, Fraction(1, 10)), "two_sided")
+        c = (n, m, need_of(n, m, Fraction(1, 20)), "one_sided")
+        randtest._bounds.clear()
+        for alpha, statistic in ((Fraction(1, 20), "two_sided"), (Fraction(1, 10), "two_sided"), (Fraction(1, 20), "one_sided")):
+            frontier_scan(nobs, alpha, statistic)
+        assert list(randtest._bounds) == [b, c]
+        # a group in use is the newest
+        frontier_scan(nobs, Fraction(1, 10), "two_sided")
+        frontier_scan(ObservedTable(1, 1, 2, 1), Fraction(1, 20), "one_sided")
+        assert list(randtest._bounds) == [b, (5, 2, need_of(5, 2, Fraction(1, 20)), "one_sided")]
