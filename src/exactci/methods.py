@@ -17,10 +17,11 @@ Every result carries the count of randomization tests its construction
 needs for that table (one test = one accept/reject decision for one
 candidate table; frontier fallback assignments count zero). A table that is its own
 outcome-label mirror needs one frontier scan for both sides, so it counts one.
-A test counts as one whether a tail sum decides it or one of the exact
-decision bounds that `randtest.acceptor` keeps per design, just as a cached
-scan summary counts its scan's tests; so a count, like an interval, depends
-only on the table, the level and the method, never on what ran before.
+A test counts as one whether a tail sum decides it, or one of the exact
+decision bounds that `randtest.acceptor` keeps per design, or a frontier
+scan's previous row (see `frontier_scan`), just as a cached scan summary
+counts its scan's tests; so a count, like an interval, depends only on the
+table, the level and the method, never on what ran before.
 
 The frontier constructions read each scan through a private cache of scan
 summaries (the least and greatest accepted n*tau, or none, and the scan's
@@ -92,12 +93,15 @@ class FrontierScan:
     nothing in range is accepted). accepted_ntau collects n*tau over
     compatible tables on or above the frontier; a two-sided scan also caps
     N10 at N01 + floor(n*tau_hat), so it collects only tables whose effect
-    is at most the observed estimate.
+    is at most the observed estimate. tests counts every decision the walk
+    makes; settled counts those of them that the previous N11 row decided
+    (see `frontier_scan`), which call no decision function.
     """
 
     frontiers: dict[tuple[int, int], int] = field(default_factory=dict)
     accepted_ntau: set[int] = field(default_factory=set)
     tests: int = 0
+    settled: int = 0
 
 
 def frontier_scan(
@@ -107,23 +111,46 @@ def frontier_scan(
 ) -> FrontierScan:
     """Lower-side acceptance sweep over (N11, N01) cells.
 
-    For each N11, N01 increases from 0 and the N10 search resumes from the
-    previous frontier value, which the frontier's monotonicity in N01
-    justifies. Candidates beyond the observed estimate (two-sided) or with a
-    negative forced fourth cell are skipped without testing; if no candidate
-    is accepted the frontier takes its fallback value (one above the last
-    admissible N10 for two-sided, n+1 for one-sided). The compatible tables
-    of a cell form one N10 interval [n11 - H0, n11 + n00 - L0], empty when
-    L0 > H0, with L0 = max(0, N11 - n01, N11 + N01 - n10 - n01) and
-    H0 = min(N11, n11, N11 + N01 - n01) (`compatible_n10` is the
-    definition). The parts of L0 and H0 free of N01 are computed once per
-    N11, so a cell costs a few integer comparisons, and its accepted n*tau
-    are one range.
+    For each N11, N01 increases from 0, and each cell walks its candidates
+    N10 upward to the first accepted one, its frontier. Candidates beyond the
+    observed estimate (two-sided) or with a negative forced fourth cell are
+    skipped without testing; if no candidate is accepted the frontier takes
+    its fallback value (one above the last admissible N10 for two-sided, n+1
+    for one-sided). The compatible tables of a cell form one N10 interval
+    [n11 - H0, n11 + n00 - L0], empty when L0 > H0, with L0 = max(0, N11 -
+    n01, N11 + N01 - n10 - n01) and H0 = min(N11, n11, N11 + N01 - n01)
+    (`compatible_n10` is the definition). The parts of L0 and H0 free of N01
+    are computed once per N11, so a cell costs a few integer comparisons, and
+    its accepted n*tau are one range.
+
+    The walk decides part of each cell from what is already known, by the
+    stochastic order of the tests: a unit move that raises n*tau by one
+    never lowers a one-sided p-value; nor a two-sided one while both tables
+    have effect at most the estimate, if m <= n/2 and the move is 11->10 or
+    01->00, or if m = n/2 (any move). The property tests check these orders
+    over every table of small n. Each decision so made is exact and counts
+    as one test, so the frontiers, the accepted set and the count are those
+    of a walk that tests every candidate.
+    - Carry: the walk starts at the previous cell's frontier. A smaller N10
+      is rejected, since the 01->00 move takes (N11, N10, N01) to
+      (N11, N10, N01 - 1), rejected in the previous cell.
+    - Reject rule (every scan): with f the frontier and hi the greatest
+      candidate of cell (N11 - 1, N01), every candidate N10 <= min(f, hi +
+      1) - 2 of cell (N11, N01) is rejected, since the 11->10 move takes it
+      to (N11 - 1, N10 + 1, N01), a candidate below its cell's frontier.
+      The walk jumps past them.
+    - Accept rule (one-sided scans, and two-sided scans with m = n/2): if
+      cell (N11 - 1, N01 + 1) accepted its frontier f' (not the fallback),
+      every candidate N10 >= f' of cell (N11, N01) is accepted, since the
+      01->11 move takes (N11 - 1, f', N01 + 1) to (N11, f', N01) and 00->10
+      moves take that to each larger N10. The walk stops at f'.
+    The decisions of these two rules are counted in `FrontierScan.settled`;
+    the rest are calls of the decision function.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
-    label switch otherwise. Each test is one call of the decision function
-    that `randtest.acceptor` builds once per scan; the factory is looked up
-    by module attribute, so a wrapper set on that name sees every scan.
+    label switch otherwise. The decision function is built by
+    `randtest.acceptor` once per scan; the factory is looked up by module
+    attribute, so a wrapper set on that name sees every call.
     """
     n, m = nobs.n, nobs.m
     two_sided = statistic == "two_sided"
@@ -132,13 +159,20 @@ def frontier_scan(
     accepts = randtest.acceptor(nobs, alpha, statistic)
     floor_nt = math.floor(nobs.tau_hat * n)  # exact: Fraction floor
     n11, n10, n01, n00 = nobs.as_tuple()
+    accept_rule = not two_sided or 2 * m == n
+    never = n + 1  # above every candidate
     out = FrontierScan()
     frontiers, accepted_ntau = out.frontiers, out.accepted_ntau
-    tests = 0
+    called = settled = 0
+    # the previous row's bounds by N01: candidates up to rejected_to[N01] are
+    # rejected (reject rule), and from accepted_from[N01 + 1] on accepted
+    rejected_to = [-1] * (n + 2)
+    accepted_from = [never] * (n + 2)
     for N11 in range(0, n11 + n01 + 1):
         # the parts of compatible_n10's bounds L0 and H0 that do not depend on N01
         lo_row = N11 - n01 if N11 > n01 else 0
         hi_row = N11 if N11 < n11 else n11
+        row_rejected, row_accepted = [], []
         carry = 0
         for N01 in range(0, n - N11 + 1):
             avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
@@ -148,14 +182,32 @@ def frontier_scan(
             else:
                 hi = avail
             N10 = carry
-            while N10 <= hi:
-                tests += 1
+            lim = rejected_to[N01]
+            if lim > hi:
+                lim = hi
+            if N10 <= lim:
+                settled += lim - N10 + 1
+                N10 = lim + 1
+            stop = accepted_from[N01 + 1]
+            if stop > hi:
+                stop = hi + 1
+            while N10 < stop:
+                called += 1
                 if accepts(N11, N10, N01, avail - N10):
                     break
                 N10 += 1
             else:
-                N10 = top + 1 if two_sided else n + 1
+                if N10 <= hi:  # at or above the accept rule's threshold
+                    settled += 1
+                else:
+                    N10 = top + 1 if two_sided else never
             frontiers[N11, N01] = N10
+            if N10 <= hi:
+                row_rejected.append(N10 - 2)
+                row_accepted.append(N10 if accept_rule else never)
+            else:
+                row_rejected.append(hi - 1)
+                row_accepted.append(never)
             carry = N10 if N10 > 0 else 0
             c = N11 + N01 - n01
             L0 = c - n10 if c - n10 > lo_row else lo_row
@@ -165,7 +217,8 @@ def frontier_scan(
                 last = n11 + n00 - L0 if n11 + n00 - L0 < hi else hi
                 if first <= last:
                     accepted_ntau.update(range(first - N01, last - N01 + 1))
-    out.tests = tests
+        rejected_to, accepted_from = row_rejected, row_accepted
+    out.tests, out.settled = called + settled, settled
     return out
 
 

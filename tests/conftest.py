@@ -8,6 +8,7 @@ acceptance suite call them, at their respective sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -35,6 +36,47 @@ def count_calls(monkeypatch, statistic: str) -> list:
 
     monkeypatch.setattr(randtest, "acceptor", counting)
     return calls
+
+
+def left_out(tested: list, walked: list) -> list:
+    """The entries of walked that tested leaves out; tested must be a subsequence of walked.
+
+    A frontier scan calls its decision function on the tables of its walk
+    that the previous row does not settle, in walk order, so these are the
+    settled tables.
+    """
+    rest = iter(tested)
+    expect = next(rest, None)
+    out = []
+    for cells in walked:
+        if cells == expect:
+            expect = next(rest, None)
+        else:
+            out.append(cells)
+    assert expect is None, f"{expect} was tested but is not in the walk"
+    return out
+
+
+def walked_tables(scan, nobs: ObservedTable, statistic: str) -> list[tuple[int, int, int, int]]:
+    """Every table a frontier scan decides, in walk order, read off its frontiers.
+
+    Cell (N11, N01) decides each candidate N10 from the previous cell's
+    frontier, or 0 if that is less or N01 = 0, up to its own frontier or its
+    greatest candidate, whichever is less.
+    """
+    n = nobs.n
+    floor_nt = math.floor(nobs.tau_hat * n)
+    walked = []
+    carry = 0
+    for (N11, N01), frontier in scan.frontiers.items():
+        if N01 == 0:
+            carry = 0
+        hi = n - N11 - N01
+        if statistic == "two_sided":
+            hi = min(hi, N01 + floor_nt)
+        walked += [(N11, N10, N01, n - N11 - N10 - N01) for N10 in range(carry, min(frontier, hi) + 1)]
+        carry = max(frontier, 0)
+    return walked
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from conftest import accepted_ntau_two_sided, count_calls, observed_tables
+from conftest import accepted_ntau_two_sided, count_calls, left_out, observed_tables, walked_tables
 from test_acceptance import BONFERRONI_PUBLISHED, MARGIN_PUBLISHED
 
 from exactci import (
     ObservedTable,
+    PotentialTable,
     attainable_ntau_range,
     ci_bonferroni,
     ci_brute_force,
@@ -17,6 +18,8 @@ from exactci import (
     ci_two_sided_frontier,
     compute_ci,
     enumerate_compatible,
+    p_one_sided,
+    p_two_sided,
 )
 from exactci import methods, randtest
 from exactci.errors import InvalidLevel, ScaleGuard
@@ -102,6 +105,40 @@ class TestFrontier:
         res = ci_two_sided_frontier(nobs, ALPHA)
         brute = ci_brute_force(nobs, ALPHA)
         assert res.ci_ntau == brute.ci_ntau
+
+
+class TestRowRules:
+    """The decisions a frontier scan settles from its previous row, replayed by exact p-values."""
+
+    def test_settled_decisions_match_exact_p_values_n10(self, monkeypatch):
+        # every observed table with n <= 10: each settled table's implied
+        # decision (accepted only at its cell's frontier) is p >= alpha for
+        # the Fraction p-value, which no decision function computes
+        calls = {s: count_calls(monkeypatch, s) for s in ("one_sided", "two_sided")}
+        p_value = {"one_sided": p_one_sided, "two_sided": p_two_sided}
+        rejects = accepts = 0
+        for n in range(2, 11):
+            for nobs in observed_tables(n):
+                balanced = 2 * nobs.m == n
+                for alpha in (Fraction(1, 10), ALPHA, Fraction(1, 100)):
+                    for statistic in ("one_sided", "two_sided"):
+                        if statistic == "two_sided" and nobs.m > n - nobs.m:
+                            continue
+                        calls[statistic].clear()
+                        scan = frontier_scan(nobs, alpha, statistic)
+                        walked = walked_tables(scan, nobs, statistic)
+                        settled = left_out(calls[statistic], walked)
+                        key = (nobs, alpha, statistic)
+                        assert len(walked) == scan.tests and len(settled) == scan.settled, key
+                        for cells in settled:
+                            accepted = cells[1] == scan.frontiers[cells[0], cells[2]]
+                            p = p_value[statistic](PotentialTable(*cells), nobs)
+                            assert (p >= alpha) == accepted, (key, cells)
+                            # the accept rule holds for one-sided and balanced two-sided scans only
+                            assert not accepted or statistic == "one_sided" or balanced, (key, cells)
+                            accepts += accepted
+                            rejects += not accepted
+        assert accepts and rejects
 
 
 class TestOneSided:
@@ -323,7 +360,11 @@ class TestScanReuse:
         for cells in ((6, 4, 4, 6), (5, 4, 1, 2)):
             nobs = ObservedTable(*cells)
             first = ci_two_sided_frontier(nobs, ALPHA)
-            assert len(calls) == first.tests > 0
+            called = len(calls)
+            work = nobs.switch_z() if nobs.m > nobs.n - nobs.m else nobs
+            direct = [frontier_scan(side, ALPHA, "two_sided") for side in {work, work.switch_y()}]
+            assert called == sum(scan.tests - scan.settled for scan in direct) > 0
+            assert first.tests == sum(scan.tests for scan in direct)
             calls.clear()
             relatives = [nobs.switch_y()]
             if nobs.m > nobs.n - nobs.m:  # scanned through its conjugate
@@ -337,7 +378,10 @@ class TestScanReuse:
         calls = count_calls(monkeypatch, "one_sided")
         nobs = ObservedTable(8, 4, 5, 7)
         lower = ci_one_sided(nobs, ALPHA, "lower")
-        assert len(calls) == lower.tests > 0
+        called = len(calls)
+        direct = frontier_scan(nobs, ALPHA, "one_sided")
+        assert called == direct.tests - direct.settled > 0
+        assert lower.tests == direct.tests
         calls.clear()
         upper = ci_one_sided(nobs.switch_y(), ALPHA, "upper")
         assert calls == []

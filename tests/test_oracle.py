@@ -8,7 +8,7 @@ import pytest
 
 from exactci import ObservedTable, PotentialTable, ScaleGuard, enumerate_compatible, frontier_scan
 
-from conftest import count_calls, observed_tables
+from conftest import count_calls, left_out, observed_tables
 from oracle import (
     brute_compatibility,
     brute_frontier,
@@ -83,8 +83,10 @@ class TestReferenceScan:
         key = (nobs, alpha, statistic)
         assert list(scan.frontiers.items()) == list(ref.frontiers.items()), key
         assert scan.accepted_ntau == ref.accepted_ntau, key
-        assert scan.tests == ref.tests == len(tested), key
-        assert tested == calls, key
+        assert scan.tests == ref.tests == len(tested) + scan.settled, key
+        # the scan calls the decision function on the reference's tables, in
+        # its order, leaving out exactly the ones the previous row settles
+        assert len(left_out(tested, calls)) == scan.settled, key
 
     def test_every_table_up_to_n12(self, monkeypatch):
         calls = {s: count_calls(monkeypatch, s) for s in ("one_sided", "two_sided")}
@@ -116,6 +118,21 @@ class TestReferenceScan:
             unbalanced += m > n - m
             empty += 0 in nobs.as_tuple()
         assert unbalanced and 0 < empty < checked
+
+    def test_random_balanced_two_sided_n14_to_40(self, monkeypatch):
+        # m = n/2 is the one two-sided design where the accept rule applies,
+        # and the random tables above rarely draw it
+        calls = count_calls(monkeypatch, "two_sided")
+        rng = random.Random(2016)
+        deadline = time.monotonic() + 3.0
+        checked = 0
+        while checked < 10 or time.monotonic() < deadline:
+            m = rng.randint(7, 20)
+            n11 = rng.choice((0, m, rng.randint(0, m), rng.randint(0, m)))
+            n01 = rng.choice((0, m, rng.randint(0, m), rng.randint(0, m)))
+            nobs = ObservedTable(n11, m - n11, n01, m - n01)
+            self.assert_same_scan(nobs, rng.choice(ALPHAS), "two_sided", calls)
+            checked += 1
 
 
 class TestReferenceCompatible:

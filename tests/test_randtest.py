@@ -23,6 +23,7 @@ from exactci import (
 )
 from exactci import randtest
 from exactci.hypergeom import _at_most
+from exactci.methods import FrontierScan
 from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
 
 from conftest import count_calls, observed_tables, potential_tables
@@ -124,7 +125,8 @@ class TestExactPValues:
 
     def test_counter_ticks(self, monkeypatch):
         # the searches count one test per call of the decision function that
-        # randtest.acceptor builds
+        # randtest.acceptor builds, and a frontier scan one more per decision
+        # that its previous row settles
         two_sided = count_calls(monkeypatch, "two_sided")
         one_sided = count_calls(monkeypatch, "one_sided")
         nobs = ObservedTable(2, 1, 1, 3)
@@ -135,7 +137,9 @@ class TestExactPValues:
         ):
             two_sided.clear()
             one_sided.clear()
-            assert run().tests == len(calls) > 0
+            res = run()
+            settled = res.settled if isinstance(res, FrontierScan) else 0
+            assert res.tests - settled == len(calls) > 0
 
     def test_scale_guard_env_override(self, monkeypatch):
         monkeypatch.setenv(SCALE_GUARD_ENV, "5")
