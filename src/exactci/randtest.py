@@ -34,27 +34,28 @@ u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
   exchanged, which exchanges s and u and gives the same weight. One loop
   serves every m.
 - Slices: with s fixed, r2 = m - s = x01 + x00 and the statistic increases
-  with u, so in each row x11 a one-sided tail is one x01 range and a
-  two-sided tail is two. A range that spans its row weighs C(N01 + N00, r2);
-  a part of a row is one lookup in the row of prefix sums of
-  C(N01, x01) * C(N00, r2 - x01) over x01, `hypergeom._at_most(N01, N00, r2)`.
+  with u, so in each row x11 the upper tail is one x01 range. A range that
+  spans its row weighs C(N01 + N00, r2); a part of a row is one lookup in
+  the row of prefix sums of C(N01, x01) * C(N00, r2 - x01) over x01,
+  `hypergeom._at_most(N01, N00, r2)`.
 - Walks: a step from r2 to r2 + 1 lowers s by one and raises the slice's
-  least and greatest u by at most one each, so it changes the slice's least
-  and greatest statistic by at most B - A <= 0. The upper tail is a prefix
-  of the slices and the lower tail a suffix. The upper walk goes up from the
-  least r2, the lower walk down from the greatest, and each stops at its
-  first slice with no split in its tail; slices in neither tail are not
-  visited.
+  greatest u by at most one, so it changes the slice's greatest statistic
+  by at most B - A <= 0. The upper tail is a prefix of the slices, so the
+  walk goes up from the least r2 and stops at its first slice with no split
+  in the tail; later slices are not visited. One walk serves both tails:
+  the outcome-label mirror (N00, N01, N10, N11) negates the statistic under
+  every assignment, so a lower tail {statistic <= lower} is summed as the
+  mirror's upper tail {statistic >= -lower}.
 - Stop: a search's sum returns once its weight reaches need, checked once
-  per slice. That decides the test as the full sum would, since the weight
-  only grows. The public p-values pass no stop.
+  per slice across both tails. That decides the test as the full sum
+  would, since the weight only grows. The public p-values pass no stop.
 
-The prefix rows depend only on (N01, N00, r2), so the neighbouring tables of
-a frontier scan, the repeated tests of a batch over one design and the
-weighing of a coverage sweep share them. `_at_most` is an `lru_cache` of
-8,192 rows. A row holds min(N01, r2) + 1 integers below 2**n; at the default
-size guard, n = 300, the largest row takes about 10 KB, so the cache holds
-at most about 83 MB.
+The prefix rows depend only on (N01, N00, r2) of the table or its mirror,
+so the neighbouring tables of a frontier scan, the repeated tests of a batch
+over one design and the weighing of a coverage sweep share them. `_at_most`
+is an `lru_cache` of 8,192 rows. A row holds min(N01, r2) + 1 integers below
+2**n; at the default size guard, n = 300, the largest row takes about 10 KB,
+so the cache holds at most about 83 MB.
 
 `null_dist` is the definitional reference. It reads the whole null
 distribution off `_scaled_atoms`, which enumerates every split once (O(n^3)
@@ -70,7 +71,6 @@ from typing import Callable, Iterator, Literal
 
 from .errors import DegenerateArm, SizeMismatch
 from .hypergeom import _at_most, _check_alpha, _comb_row, _guard
-from .hypergeom import SCALE_GUARD_ENV, max_exact_n  # noqa: F401  (the guard's names, also read from here)
 from .tables import ObservedTable, PotentialTable
 
 __all__ = [
@@ -78,7 +78,6 @@ __all__ = [
     "null_dist",
     "p_one_sided",
     "p_two_sided",
-    "max_exact_n",
 ]
 
 
@@ -155,19 +154,21 @@ def _tail_weight(
     and so the weight, unchanged. Either way A >= B below. rows, if given,
     is `_comb_rows(n)`; `acceptor` reads it once per search and passes it.
 
+    One walk sums both tails. The outcome-label mirror (N00, N01, N10, N11)
+    negates the scaled statistic under every assignment, so the lower tail
+    {statistic <= lower} weighs what the mirror's upper tail
+    {statistic >= -lower} weighs; the walk runs on the table at upper, then
+    on the mirror at -lower.
+
     A slice fixes r2 = m - s. Within it the statistic is base + B*u, so in
     each row x11 the upper tail is one range of the slice's other treated
-    count and the lower tail one range. A range is the whole row, of weight
-    C(N01 + N00, r2), or a part, read off the prefix row
-    `_at_most(N01, N00, r2)`, and where every row of a slice is whole,
-    Vandermonde's identity sums them at once.
-
-    Going from r2 to r2 + 1, s falls by one and the greatest and least u
-    each rise by at most one, so a slice's greatest and least statistic
-    change by at most B - A <= 0. The upper tail is therefore a prefix of
-    the slices and the lower tail a suffix: the upper walk goes up from the
-    least r2 and the lower walk down from the greatest, and each ends at
-    its first slice with no split in its tail.
+    count. A range is the whole row, of weight C(N01 + N00, r2), or a part,
+    read off the prefix row `_at_most(N01, N00, r2)`, and where every row of
+    a slice is whole, Vandermonde's identity sums them at once. Going from
+    r2 to r2 + 1, s falls by one and the greatest u rises by at most one, so
+    a slice's greatest statistic changes by at most B - A <= 0: the upper
+    tail is a prefix of the slices, and the walk goes up from the least r2
+    and ends at its first slice with no split in the tail.
 
     With stop, the sum returns as soon as the weight is >= stop, checked
     once per slice; the result is then >= stop exactly when the full weight
@@ -175,76 +176,56 @@ def _tail_weight(
     """
     n = N11 + N10 + N01 + N00
     nm = n * m
-    shift = nm * (N11 + N01)  # the statistic plus shift is A*s + B*u
+    upper += nm * (N11 + N01)  # the statistic plus nm*(N11 + N01) is A*s + B*u
+    if lower is not None:
+        # {statistic <= lower} is the mirror's {statistic >= -lower}, and
+        # the mirror's statistic plus nm*(N00 + N10) is its A*s + B*u
+        lower = nm * (N00 + N10) - lower
     if swap:
         N10, N01 = N01, N10
         A, B = nm, n * (n - m)
     else:
         A, B = n * (n - m), nm
-    upper += shift
     if rows is None:
         rows = _comb_rows(n)
-    c11, c10 = rows[N11], rows[N10]
-    c1, c0 = rows[N11 + N10], rows[N01 + N00]
-    r_least = m - N11 - N10 if m > N11 + N10 else 0
-    r_most = N01 + N00 if N01 + N00 < m else m
     weight = 0
-    for r2 in range(r_least, r_most + 1):
-        s = m - r2
-        # u = x11 + x01 with x01 in [lo, hi] and x11 in [first, last]
-        # (conditionals are cheaper than max/min calls on this path)
-        lo = r2 - N00 if r2 > N00 else 0
-        hi = r2 if r2 < N01 else N01
-        first = s - N10 if s > N10 else 0
-        last = s if s < N11 else N11
-        k = -((A * s - upper) // B)  # least u in the upper tail
-        a = k - hi if k - hi > first else first  # first row in the tail
-        if a > last:
-            break  # neither this slice nor any later one reaches upper
-        b = k - lo if k - lo > a else a  # first whole row
-        full = c0[r2]
-        if b == first:  # every row whole: Vandermonde's identity sums them
-            weight += c1[s] * full
-        else:
-            whole = 0
-            for x11 in range(b, last + 1):
-                whole += c11[x11] * c10[s - x11]
-            weight += whole * full
-            if a < b:
-                row = _at_most(N01, N00, r2)
-                for x11 in range(a, b if b <= last else last + 1):
-                    weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
-        if stop is not None and weight >= stop:
+    while True:
+        c11, c10 = rows[N11], rows[N10]
+        c1, c0 = rows[N11 + N10], rows[N01 + N00]
+        r_least = m - N11 - N10 if m > N11 + N10 else 0
+        r_most = N01 + N00 if N01 + N00 < m else m
+        for r2 in range(r_least, r_most + 1):
+            s = m - r2
+            # u = x11 + x01 with x01 in [lo, hi] and x11 in [first, last]
+            # (conditionals are cheaper than max/min calls on this path)
+            lo = r2 - N00 if r2 > N00 else 0
+            hi = r2 if r2 < N01 else N01
+            first = s - N10 if s > N10 else 0
+            last = s if s < N11 else N11
+            k = -((A * s - upper) // B)  # least u in the tail
+            a = k - hi if k - hi > first else first  # first row in the tail
+            if a > last:
+                break  # neither this slice nor any later one reaches upper
+            b = k - lo if k - lo > a else a  # first whole row
+            full = c0[r2]
+            if b == first:  # every row whole: Vandermonde's identity sums them
+                weight += c1[s] * full
+            else:
+                whole = 0
+                for x11 in range(b, last + 1):
+                    whole += c11[x11] * c10[s - x11]
+                weight += whole * full
+                if a < b:
+                    row = _at_most(N01, N00, r2)
+                    for x11 in range(a, b if b <= last else last + 1):
+                        weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
+            if stop is not None and weight >= stop:
+                return weight
+        if lower is None:
             return weight
-    if lower is None:
-        return weight
-    lower += shift
-    for r2 in range(r_most, r_least - 1, -1):
-        s = m - r2
-        lo = r2 - N00 if r2 > N00 else 0
-        hi = r2 if r2 < N01 else N01
-        first = s - N10 if s > N10 else 0
-        last = s if s < N11 else N11
-        j = (lower - A * s) // B  # greatest u in the lower tail
-        b = j - lo if j - lo < last else last  # last row in the tail
-        if b < first:
-            break  # neither this slice nor any earlier one reaches lower
-        a = j - hi if j - hi < b else b  # last whole row
-        full = c0[r2]
-        if a == last:  # every row whole
-            weight += c1[s] * full
-        else:
-            whole = 0
-            for x11 in range(first, a + 1):
-                whole += c11[x11] * c10[s - x11]
-            weight += whole * full
-            if a < b:
-                row = _at_most(N01, N00, r2)
-                for x11 in range(a + 1 if a >= first else first, b + 1):
-                    weight += c11[x11] * c10[s - x11] * row[j - x11]
-        if stop is not None and weight >= stop:
-            return weight
-    return weight
+        # the mirror of the transposed table is the transposed mirror, so
+        # the mirror of the table just summed is summed next
+        N11, N10, N01, N00, upper, lower = N00, N01, N10, N11, lower, None
 
 
 def _scaled_obs(nobs: ObservedTable) -> int:

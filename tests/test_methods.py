@@ -21,8 +21,9 @@ from exactci import (
     p_one_sided,
     p_two_sided,
 )
-from exactci import methods, randtest
+from exactci import methods
 from exactci.errors import InvalidLevel, ScaleGuard
+from exactci.hypergeom import SCALE_GUARD_ENV
 from exactci.methods import frontier_scan
 
 ALPHA = Fraction(1, 20)
@@ -228,15 +229,15 @@ class TestCountMethods:
         # the same limit, read on every call whether or not the tables are cached
         nobs = ObservedTable(4, 4, 4, 4)
         before = [fn(nobs, ALPHA) for fn in (ci_bonferroni, ci_margin_inversion)]
-        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "15")
+        monkeypatch.setenv(SCALE_GUARD_ENV, "15")
         for fn in (ci_bonferroni, ci_margin_inversion):
             with pytest.raises(ScaleGuard, match="limit 15"):
                 fn(nobs, ALPHA)
-        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "abc")
+        monkeypatch.setenv(SCALE_GUARD_ENV, "abc")
         for fn in (ci_bonferroni, ci_margin_inversion):
-            with pytest.raises(ValueError, match=randtest.SCALE_GUARD_ENV):
+            with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
                 fn(nobs, ALPHA)
-        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "16")
+        monkeypatch.setenv(SCALE_GUARD_ENV, "16")
         assert [fn(nobs, ALPHA) for fn in (ci_bonferroni, ci_margin_inversion)] == before
 
 
@@ -392,12 +393,12 @@ class TestScanReuse:
         nobs = ObservedTable(4, 4, 4, 4)
         ci_two_sided_frontier(nobs, ALPHA)
         ci_one_sided(nobs, ALPHA)
-        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "10")
+        monkeypatch.setenv(SCALE_GUARD_ENV, "10")
         with pytest.raises(ScaleGuard):
             ci_two_sided_frontier(nobs, ALPHA)
         with pytest.raises(ScaleGuard):
             ci_one_sided(nobs, ALPHA)
-        monkeypatch.setenv(randtest.SCALE_GUARD_ENV, "abc")
+        monkeypatch.setenv(SCALE_GUARD_ENV, "abc")
         with pytest.raises(ValueError):
             ci_two_sided_frontier(nobs, ALPHA)
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -22,9 +23,8 @@ from exactci import (
     p_two_sided,
 )
 from exactci import randtest
-from exactci.hypergeom import _at_most
+from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, max_exact_n
 from exactci.methods import FrontierScan
-from exactci.randtest import SCALE_GUARD_ENV, max_exact_n
 
 from conftest import count_calls, observed_tables, potential_tables
 from oracle import enumerate_assignments, units_from_table
@@ -247,6 +247,38 @@ class TestTailWeight:
                         early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
                         assert (early >= stop) == (full >= stop), (cells, m, upper, lower, stop)
                         assert early <= full
+
+    def test_stop_returns_at_the_first_slice_that_reaches_it(self):
+        # the walk takes the upper tail's slices by falling s = x11 + x10
+        # (u = x11 + x01 when transposed), then the lower tail's, summed on
+        # the outcome-label mirror, by rising s (u); a stopped sum is the
+        # weight of whole slices up to the first that brings it to stop
+        for n in range(2, 8):
+            for N, m in itertools.product(potential_tables(n), range(1, n)):
+                cells, swap = N.as_tuple(), 2 * m > n
+                N11, _, N01, _ = cells
+                splits = [
+                    (x11 + (x01 if swap else x10), n * ((x11 + x10) * (n - m) - (N11 - x11 + N01 - x01) * m), w)
+                    for x11, x10, x01, _, w in randtest._iter_splits(N, m)
+                ]
+                values = sorted({v for _, v, _ in splits})
+                beyond = values[-1] + 1
+                cases = [(v, None) for v in values] + [(beyond, v) for v in values]
+                cases += [(values[-1 - i], values[i]) for i in range(len(values) // 2)]
+                for upper, lower in cases:
+                    above, below = Counter(), Counter()
+                    for key, v, w in splits:
+                        if v >= upper:
+                            above[key] += w
+                        elif lower is not None and v <= lower:
+                            below[key] += w
+                    slices = [above[key] for key in sorted(above, reverse=True)]
+                    slices += [below[key] for key in sorted(below)]
+                    full = sum(slices)
+                    for stop in {1, full // 2, full, full + 1} - {0}:  # need is at least 1
+                        expect = next((w for w in itertools.accumulate(slices) if w >= stop), full)
+                        early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
+                        assert early == expect, (cells, m, upper, lower, stop)
 
 
 BOUNDARY_ALPHAS = (Fraction(1, 3), Fraction(1, 20), Fraction(7, 100), Fraction(1, 997))
