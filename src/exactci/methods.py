@@ -23,13 +23,15 @@ scan's previous row (see `frontier_scan`), just as a cached scan summary
 counts its scan's tests; so a count, like an interval, depends only on the
 table, the level and the method, never on what ran before.
 
-The frontier constructions read each scan through a private cache of scan
-summaries (the least and greatest accepted n*tau, or none, and the scan's
-test count), keyed by (scanned table, alpha, statistic). It holds the
-newest `_SCAN_CACHE_SIZE` (8,192) entries, about 4 MB when full. The upper
-side of X is the lower side of X's outcome-label mirror, and a design with
-m > n - m is scanned through its treatment-label conjugate, so across a
-coverage sweep or a batch these constructions share one scan. A cached scan
+A `frontier_scan` returns its rows of frontiers, one list per N11, and the
+ends of its accepted n*tau. The frontier constructions read each scan
+through a private cache of scan summaries (those ends, or none, and the
+scan's test count; never the rows, about n^2/2 ints a scan), keyed by
+(scanned table, alpha, statistic). It holds the newest `_SCAN_CACHE_SIZE`
+(8,192) entries, about 4 MB when full. The upper side of X is the lower
+side of X's outcome-label mirror, and a design with m > n - m is scanned
+through its treatment-label conjugate, so across a coverage sweep or a
+batch these constructions share one scan. A cached scan
 still counts its tests in every result that reads it, and the exact-size
 guard is checked on every call before the cache is read, so neither the
 result nor a refusal depends on what is cached.
@@ -38,7 +40,7 @@ result nor a refusal depends on what is cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Literal
@@ -89,19 +91,20 @@ class MethodResult:
 class FrontierScan:
     """Result of one lower-side frontier sweep.
 
-    frontiers maps (N11, N01) to the minimum accepted N10 (fallback value when
-    nothing in range is accepted). accepted_ntau collects n*tau over
-    compatible tables on or above the frontier; a two-sided scan also caps
-    N10 at N01 + floor(n*tau_hat), so it collects only tables whose effect
-    is at most the observed estimate. tests counts every decision the walk
+    frontiers holds one list per N11 row, from N11 = 0 up: row[N01] is the
+    cell's minimum accepted N10, or the fallback value when nothing in range
+    is accepted. ends is the least and greatest n*tau over compatible tables
+    on or above the frontier, or None if there are none; a two-sided scan
+    also caps N10 at N01 + floor(n*tau_hat), so its ends bound only effects
+    at most the observed estimate. tests counts every decision the walk
     makes; settled counts those of them that the previous N11 row decided
     (see `frontier_scan`), which call no decision function.
     """
 
-    frontiers: dict[tuple[int, int], int] = field(default_factory=dict)
-    accepted_ntau: set[int] = field(default_factory=set)
-    tests: int = 0
-    settled: int = 0
+    frontiers: list[list[int]]
+    ends: tuple[int, int] | None
+    tests: int
+    settled: int
 
 
 def frontier_scan(
@@ -113,15 +116,16 @@ def frontier_scan(
 
     For each N11, N01 increases from 0, and each cell walks its candidates
     N10 upward to the first accepted one, its frontier. Candidates beyond the
-    observed estimate (two-sided) or with a negative forced fourth cell are
-    skipped without testing; if no candidate is accepted the frontier takes
-    its fallback value (one above the last admissible N10 for two-sided, n+1
-    for one-sided). The compatible tables of a cell form one N10 interval
-    [n11 - H0, n11 + n00 - L0], empty when L0 > H0, with L0 = max(0, N11 -
-    n01, N11 + N01 - n10 - n01) and H0 = min(N11, n11, N11 + N01 - n01)
-    (`compatible_n10` is the definition). The parts of L0 and H0 free of N01
-    are computed once per N11, so a cell costs a few integer comparisons, and
-    its accepted n*tau are one range.
+    observed estimate (two-sided; the greatest is top = N01 +
+    floor(n*tau_hat)) or with a negative forced fourth cell are skipped
+    without testing; if no candidate is accepted the frontier takes its
+    fallback value (top + 1 for two-sided, n + 1 for one-sided). The
+    compatible tables of a cell form one N10 interval [n11 - H0, n11 + n00
+    - L0], empty when L0 > H0, with L0 = max(0, N11 - n01, N11 + N01 - n10
+    - n01) and H0 = min(N11, n11, N11 + N01 - n01) (`compatible_n10` is the
+    definition). The parts of L0 and H0 free of N01 are computed once per
+    N11, so a cell costs a few integer comparisons, and its accepted n*tau
+    are one range, whose ends update the scan's.
 
     The walk decides part of each cell from what is already known, by the
     stochastic order of the tests: a unit move that raises n*tau by one
@@ -129,21 +133,28 @@ def frontier_scan(
     have effect at most the estimate, if m <= n/2 and the move is 11->10 or
     01->00, or if m = n/2 (any move). The property tests check these orders
     over every table of small n. Each decision so made is exact and counts
-    as one test, so the frontiers, the accepted set and the count are those
-    of a walk that tests every candidate.
+    as one test, so the frontiers, the ends and the count are those of a
+    walk that tests every candidate. The one state the rules read is the
+    previous row of frontiers, prev; hi is the cell's greatest candidate.
     - Carry: the walk starts at the previous cell's frontier. A smaller N10
       is rejected, since the 01->00 move takes (N11, N10, N01) to
       (N11, N10, N01 - 1), rejected in the previous cell.
-    - Reject rule (every scan): with f the frontier and hi the greatest
-      candidate of cell (N11 - 1, N01), every candidate N10 <= min(f, hi +
-      1) - 2 of cell (N11, N01) is rejected, since the 11->10 move takes it
-      to (N11 - 1, N10 + 1, N01), a candidate below its cell's frontier.
-      The walk jumps past them.
-    - Accept rule (one-sided scans, and two-sided scans with m = n/2): if
-      cell (N11 - 1, N01 + 1) accepted its frontier f' (not the fallback),
-      every candidate N10 >= f' of cell (N11, N01) is accepted, since the
-      01->11 move takes (N11 - 1, f', N01 + 1) to (N11, f', N01) and 00->10
-      moves take that to each larger N10. The walk stops at f'.
+    - Reject rule (every scan): with f = prev[N01], the frontier of cell
+      (N11 - 1, N01), every candidate N10 <= min(f - 2, hi) is rejected, and
+      the walk jumps past them. If f was accepted, the 11->10 move takes
+      such an N10 to (N11 - 1, N10 + 1, N01), a candidate below f. If f is
+      the fallback, that cell rejected all its candidates up to its
+      greatest, hi_p, and the bound is min(hi_p - 1, hi): one-sided, hi_p is
+      hi + 1 and f - 2 = n - 1 >= hi; two-sided, top does not depend on
+      N11, so hi_p is hi + 1 <= top (and f - 2 = top - 1 >= hi) or hi = top
+      (and f - 2 = top - 1 = hi_p - 1).
+    - Accept rule (rows N11 >= 1 of one-sided scans, and of two-sided scans
+      with m = n/2): every candidate N10 >= f' = prev[N01 + 1] of cell
+      (N11, N01) is accepted, since the 01->11 move takes (N11 - 1, f',
+      N01 + 1) to (N11, f', N01) and 00->10 moves take that to each larger
+      N10. The walk stops at min(f', hi + 1). A fallback f' is top + 2
+      (two-sided) or n + 1 (one-sided), both above hi + 1, so the clip
+      alone makes it accept nothing.
     The decisions of these two rules are counted in `FrontierScan.settled`;
     the rest are calls of the decision function.
 
@@ -161,18 +172,16 @@ def frontier_scan(
     n11, n10, n01, n00 = nobs.as_tuple()
     accept_rule = not two_sided or 2 * m == n
     never = n + 1  # above every candidate
-    out = FrontierScan()
-    frontiers, accepted_ntau = out.frontiers, out.accepted_ntau
+    rows: list[list[int]] = []
+    prev = [0] * (n + 1)  # before row 0: rejects nothing
+    least, greatest = never, -never
     called = settled = 0
-    # the previous row's bounds by N01: candidates up to rejected_to[N01] are
-    # rejected (reject rule), and from accepted_from[N01 + 1] on accepted
-    rejected_to = [-1] * (n + 2)
-    accepted_from = [never] * (n + 2)
     for N11 in range(0, n11 + n01 + 1):
         # the parts of compatible_n10's bounds L0 and H0 that do not depend on N01
         lo_row = N11 - n01 if N11 > n01 else 0
         hi_row = N11 if N11 < n11 else n11
-        row_rejected, row_accepted = [], []
+        accepting = accept_rule and N11 > 0
+        row = []
         carry = 0
         for N01 in range(0, n - N11 + 1):
             avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
@@ -182,13 +191,13 @@ def frontier_scan(
             else:
                 hi = avail
             N10 = carry
-            lim = rejected_to[N01]
+            lim = prev[N01] - 2
             if lim > hi:
                 lim = hi
             if N10 <= lim:
                 settled += lim - N10 + 1
                 N10 = lim + 1
-            stop = accepted_from[N01 + 1]
+            stop = prev[N01 + 1] if accepting else never
             if stop > hi:
                 stop = hi + 1
             while N10 < stop:
@@ -201,13 +210,7 @@ def frontier_scan(
                     settled += 1
                 else:
                     N10 = top + 1 if two_sided else never
-            frontiers[N11, N01] = N10
-            if N10 <= hi:
-                row_rejected.append(N10 - 2)
-                row_accepted.append(N10 if accept_rule else never)
-            else:
-                row_rejected.append(hi - 1)
-                row_accepted.append(never)
+            row.append(N10)
             carry = N10 if N10 > 0 else 0
             c = N11 + N01 - n01
             L0 = c - n10 if c - n10 > lo_row else lo_row
@@ -216,10 +219,14 @@ def frontier_scan(
                 first = n11 - H0 if n11 - H0 > carry else carry
                 last = n11 + n00 - L0 if n11 + n00 - L0 < hi else hi
                 if first <= last:
-                    accepted_ntau.update(range(first - N01, last - N01 + 1))
-        rejected_to, accepted_from = row_rejected, row_accepted
-    out.tests, out.settled = called + settled, settled
-    return out
+                    if first - N01 < least:
+                        least = first - N01
+                    if last - N01 > greatest:
+                        greatest = last - N01
+        rows.append(row)
+        prev = row
+    ends = (least, greatest) if least <= greatest else None
+    return FrontierScan(rows, ends, called + settled, settled)
 
 
 #: Scan summaries kept by `_scan_summary`; an entry takes about 500 bytes.
@@ -239,8 +246,7 @@ def _scan_summary(
     exact-size guard first.
     """
     scan = frontier_scan(ObservedTable(*cells), alpha, statistic)
-    accepted = scan.accepted_ntau
-    return ((min(accepted), max(accepted)) if accepted else None), scan.tests
+    return scan.ends, scan.tests
 
 
 def _check_scan_call(nobs: ObservedTable, alpha: Fraction) -> Fraction:

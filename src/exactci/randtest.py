@@ -297,36 +297,27 @@ def acceptor(
     swap, mm = 2 * m > n, m * (n - m)
     obs = _scaled_obs(nobs)
     ceiling = 2 * n * mm + 1  # above every key
-    if statistic == "one_sided":
-        floor = -ceiling  # below every key
+    two_sided = statistic == "two_sided"
+    floor = 0 if two_sided else -ceiling  # a two-sided margin of 0 accepts: p = 1
 
-        def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
-            cell = N11, N10, N01
-            if obs <= accepted_key(cell, floor):
-                return True
-            if obs >= rejected_key(cell, ceiling):
-                return False
-            if _tail_weight(N11, N10, N01, N00, m, swap, obs, None, need, rows) >= need:
-                accepted[cell] = obs
-                return True
-            rejected[cell] = obs
-            return False
-
-    else:
-
-        def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
+    def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
+        if two_sided:
             t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
-            margin = obs - t_tau if obs > t_tau else t_tau - obs
-            cell = N11, N10, N01
-            if margin <= accepted_key(cell, 0):  # a margin of 0 accepts: p = 1
-                return True
-            if margin >= rejected_key(cell, ceiling):
-                return False
-            if _tail_weight(N11, N10, N01, N00, m, swap, t_tau + margin, t_tau - margin, need, rows) >= need:
-                accepted[cell] = margin
-                return True
-            rejected[cell] = margin
+            key = obs - t_tau if obs > t_tau else t_tau - obs
+            upper, lower = t_tau + key, t_tau - key
+        else:
+            key = upper = obs
+            lower = None
+        cell = N11, N10, N01
+        if key <= accepted_key(cell, floor):
+            return True
+        if key >= rejected_key(cell, ceiling):
             return False
+        if _tail_weight(N11, N10, N01, N00, m, swap, upper, lower, need, rows) >= need:
+            accepted[cell] = key
+            return True
+        rejected[cell] = key
+        return False
 
     return accepts
 

@@ -131,36 +131,24 @@ class PotentialTable:
 
 
 def is_compatible(N: PotentialTable, nobs: ObservedTable) -> bool:
-    """Whether some unit-level arrangement summarized by N yields nobs.
-
-    Equivalent to the existence of an integer count x11 of always-responders
-    assigned to treatment satisfying four box constraints.
-    """
+    """Whether some unit-level arrangement summarized by N yields nobs."""
     if N.n != nobs.n:
         raise SizeMismatch(f"potential table has n={N.n}, observed table n={nobs.n}")
-    lo = max(
-        0,
-        nobs.n11 - N.N10,
-        N.N11 - nobs.n01,
-        N.nplus1 - nobs.n10 - nobs.n01,
-    )
-    hi = min(
-        N.N11,
-        nobs.n11,
-        N.nplus1 - nobs.n01,
-        N.n - N.N10 - nobs.n01 - nobs.n10,
-    )
-    return lo <= hi
+    return N.N10 in compatible_n10(nobs, N.N11, N.N01)
 
 
 def compatible_n10(nobs: ObservedTable, N11: int, N01: int) -> range:
     """The N10 values that make (N11, N10, N01, n - N11 - N10 - N01) compatible.
 
-    In `is_compatible`, N10 enters only the bounds n11 - N10 (of lo) and
-    n11 + n00 - N10 (of hi); the other bounds L0 and H0 are fixed by
-    (N11, N01). So the compatible N10 form the one interval
-    [n11 - H0, n11 + n00 - L0], empty when L0 > H0. Every N10 in it leaves
-    the fourth cell non-negative.
+    A table is compatible exactly when some count x11 of its N11
+    always-responders assigned to treatment forces the other treated counts
+    x10 = n11 - x11, x01 = N11 + N01 - n01 - x11 and x00 = m - x11 - x10 -
+    x01 into their boxes [0, N10], [0, N01] and [0, N00]. With x11 in
+    [0, N11] too, that is max(L0, n11 - N10) <= x11 <= min(H0, n11 + n00 -
+    N10), where L0 = max(0, N11 - n01, N11 + N01 - n10 - n01) and H0 =
+    min(N11, n11, N11 + N01 - n01) do not depend on N10. So the compatible
+    N10 form the one interval [n11 - H0, n11 + n00 - L0], empty when
+    L0 > H0. Every N10 in it leaves the fourth cell non-negative.
     """
     L0 = max(0, N11 - nobs.n01, N11 + N01 - nobs.n10 - nobs.n01)
     H0 = min(N11, nobs.n11, N11 + N01 - nobs.n01)

@@ -16,7 +16,7 @@ from typing import Iterator
 from exactci import randtest
 from exactci.methods import frontier_scan
 from exactci.randtest import p_one_sided, p_two_sided
-from exactci.tables import ObservedTable, PotentialTable, is_compatible
+from exactci.tables import ObservedTable, PotentialTable, compatible_n10, is_compatible
 
 
 def count_calls(monkeypatch, statistic: str) -> list:
@@ -57,26 +57,49 @@ def left_out(tested: list, walked: list) -> list:
     return out
 
 
+def scan_cells(scan, nobs: ObservedTable, statistic: str) -> Iterator[tuple[int, int, int, int]]:
+    """(N11, N01, frontier, greatest candidate N10) of every cell of a frontier scan, in walk order."""
+    n = nobs.n
+    floor_nt = math.floor(nobs.tau_hat * n)
+    for N11, row in enumerate(scan.frontiers):
+        for N01, frontier in enumerate(row):
+            hi = n - N11 - N01
+            if statistic == "two_sided":
+                hi = min(hi, N01 + floor_nt)
+            yield N11, N01, frontier, hi
+
+
 def walked_tables(scan, nobs: ObservedTable, statistic: str) -> list[tuple[int, int, int, int]]:
-    """Every table a frontier scan decides, in walk order, read off its frontiers.
+    """Every table a frontier scan decides, in walk order, read off its rows of frontiers.
 
     Cell (N11, N01) decides each candidate N10 from the previous cell's
     frontier, or 0 if that is less or N01 = 0, up to its own frontier or its
     greatest candidate, whichever is less.
     """
     n = nobs.n
-    floor_nt = math.floor(nobs.tau_hat * n)
     walked = []
     carry = 0
-    for (N11, N01), frontier in scan.frontiers.items():
+    for N11, N01, frontier, hi in scan_cells(scan, nobs, statistic):
         if N01 == 0:
             carry = 0
-        hi = n - N11 - N01
-        if statistic == "two_sided":
-            hi = min(hi, N01 + floor_nt)
         walked += [(N11, N10, N01, n - N11 - N10 - N01) for N10 in range(carry, min(frontier, hi) + 1)]
         carry = max(frontier, 0)
     return walked
+
+
+def accepted_ntau(scan, nobs: ObservedTable, statistic: str) -> set[int]:
+    """n*tau of the compatible tables a frontier scan accepts, read off its rows.
+
+    A cell accepts its candidates from its frontier up; `compatible_n10`
+    gives its compatible ones. Asserts that the scan's ends are the set's
+    least and greatest, or None when it is empty.
+    """
+    out = set()
+    for N11, N01, frontier, hi in scan_cells(scan, nobs, statistic):
+        compatible = compatible_n10(nobs, N11, N01)
+        out.update(N10 - N01 for N10 in compatible if frontier <= N10 <= hi)
+    assert scan.ends == ((min(out), max(out)) if out else None), (nobs, statistic, scan.ends)
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,11 +237,10 @@ def check_one_sided_frontier_characterization(n: int, alphas: tuple[Fraction, ..
         for alpha in alphas:
             scan = frontier_scan(nobs, alpha, "one_sided")
             for N in potential_tables(n):
-                key = (N.N11, N.N01)
-                if key not in scan.frontiers:  # scan covers N11 <= n11 + n01
+                if N.N11 >= len(scan.frontiers):  # scan covers N11 <= n11 + n01
                     continue
                 accepted = p_one_sided(N, nobs) >= alpha
-                at_or_above = N.N10 >= scan.frontiers[key]
+                at_or_above = N.N10 >= scan.frontiers[N.N11][N.N01]
                 assert accepted == at_or_above, (
                     f"one-sided frontier mismatch at nobs={nobs.as_tuple()}, "
                     f"alpha={alpha}, N={N.as_tuple()}"
@@ -237,11 +259,10 @@ def check_two_sided_frontier_characterization(n: int, alphas: tuple[Fraction, ..
             for N in potential_tables(n):
                 if N.tau > nobs.tau_hat:
                     continue
-                key = (N.N11, N.N01)
-                if key not in scan.frontiers:  # scan covers N11 <= n11 + n01
+                if N.N11 >= len(scan.frontiers):  # scan covers N11 <= n11 + n01
                     continue
                 accepted = p_two_sided(N, nobs) >= alpha
-                at_or_above = N.N10 >= scan.frontiers[key]
+                at_or_above = N.N10 >= scan.frontiers[N.N11][N.N01]
                 assert accepted == at_or_above, (
                     f"two-sided frontier mismatch at nobs={nobs.as_tuple()}, "
                     f"alpha={alpha}, N={N.as_tuple()}"
@@ -251,8 +272,9 @@ def check_two_sided_frontier_characterization(n: int, alphas: tuple[Fraction, ..
 def accepted_ntau_two_sided(nobs: ObservedTable, alpha: Fraction) -> set[int]:
     """Accepted n*tau values of the two-sided frontier inversion (both sides)."""
     work = nobs.switch_z() if nobs.m > nobs.n - nobs.m else nobs
-    below = frontier_scan(work, alpha, "two_sided").accepted_ntau
-    above = {-k for k in frontier_scan(work.switch_y(), alpha, "two_sided").accepted_ntau}
+    mirror = work.switch_y()
+    below = accepted_ntau(frontier_scan(work, alpha, "two_sided"), work, "two_sided")
+    above = {-k for k in accepted_ntau(frontier_scan(mirror, alpha, "two_sided"), mirror, "two_sided")}
     out = below | above
     if work is not nobs:
         out = {-k for k in out}
@@ -267,8 +289,7 @@ def check_contiguity(n: int, alphas: tuple[Fraction, ...]) -> None:
     """
     for nobs in observed_tables(n):
         for alpha in alphas:
-            scan = frontier_scan(nobs, alpha, "one_sided")
-            acc = scan.accepted_ntau
+            acc = accepted_ntau(frontier_scan(nobs, alpha, "one_sided"), nobs, "one_sided")
             assert acc, f"one-sided acceptance empty for {nobs.as_tuple()}, alpha={alpha}"
             assert max(acc) == nobs.n11 + nobs.n00
             assert max(acc) - min(acc) + 1 == len(acc), (

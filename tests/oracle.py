@@ -15,6 +15,7 @@ Deliberately slow; used only to cross-check the fast paths.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
@@ -31,7 +32,6 @@ from exactci import (
     randtest,
 )
 from exactci.hypergeom import _at_most, _comb_row
-from exactci.methods import FrontierScan
 from exactci.randtest import _iter_splits
 from exactci.tables import compatible_n10
 
@@ -122,15 +122,25 @@ def brute_frontier(
     return n + 1
 
 
+@dataclass
+class ReferenceScan:
+    """The reference scan's rows of frontiers, its accepted n*tau and its test count."""
+
+    frontiers: list[list[int]] = field(default_factory=list)
+    accepted_ntau: set[int] = field(default_factory=set)
+    tests: int = 0
+
+
 def reference_frontier_scan(
     nobs: ObservedTable,
     alpha: Fraction,
     statistic: Literal["one_sided", "two_sided"] = "two_sided",
-) -> FrontierScan:
+) -> ReferenceScan:
     """`methods.frontier_scan` with one `compatible_n10` call per cell.
 
-    The same tests in the same order; each cell recomputes its compatible
-    N10 interval from the observed table and clips it with `max`/`min`.
+    The same tests in the same order, with no row rules; each cell
+    recomputes its compatible N10 interval from the observed table, clips
+    it with `max`/`min` and collects its accepted n*tau.
     """
     n, m = nobs.n, nobs.m
     if statistic == "two_sided" and m > n - m:
@@ -139,8 +149,9 @@ def reference_frontier_scan(
     accepts = randtest.acceptor(nobs, alpha, statistic)
     ntau_obs = nobs.tau_hat * n
     floor_nt = math.floor(ntau_obs)  # exact: Fraction floor
-    out = FrontierScan()
+    out = ReferenceScan()
     for N11 in range(0, nobs.n11 + nobs.n01 + 1):
+        row = []
         carry = 0
         for N01 in range(0, n - N11 + 1):
             avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
@@ -155,12 +166,13 @@ def reference_frontier_scan(
                 N10 += 1
             if frontier is None:
                 frontier = (N01 + floor_nt + 1) if two_sided else (n + 1)
-            out.frontiers[(N11, N01)] = frontier
+            row.append(frontier)
             carry = max(frontier, 0)
             compatible = compatible_n10(nobs, N11, N01)
             first = max(carry, compatible.start)
             last = min(hi, compatible.stop - 1)
             out.accepted_ntau.update(range(first - N01, last - N01 + 1))
+        out.frontiers.append(row)
     return out
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import accepted_ntau_two_sided, count_calls, left_out, observed_tables, walked_tables
+from conftest import accepted_ntau, accepted_ntau_two_sided, count_calls, left_out, observed_tables, walked_tables
 from test_acceptance import BONFERRONI_PUBLISHED, MARGIN_PUBLISHED
 
 from exactci import (
@@ -132,7 +132,7 @@ class TestRowRules:
                         key = (nobs, alpha, statistic)
                         assert len(walked) == scan.tests and len(settled) == scan.settled, key
                         for cells in settled:
-                            accepted = cells[1] == scan.frontiers[cells[0], cells[2]]
+                            accepted = cells[1] == scan.frontiers[cells[0]][cells[2]]
                             p = p_value[statistic](PotentialTable(*cells), nobs)
                             assert (p >= alpha) == accepted, (key, cells)
                             # the accept rule holds for one-sided and balanced two-sided scans only
@@ -350,7 +350,7 @@ class TestScanReuse:
                     assert res.tests == tests, (nobs, alpha)
                     for direction, scanned in (("lower", nobs), ("upper", nobs.switch_y())):
                         scan = frontier_scan(scanned, alpha, "one_sided")
-                        lo = min(scan.accepted_ntau)
+                        lo = min(accepted_ntau(scan, scanned, "one_sided"))
                         hi = scanned.n11 + scanned.n00
                         want = (lo, hi) if direction == "lower" else (-hi, -lo)
                         res = ci_one_sided(nobs, alpha, direction)

@@ -8,7 +8,7 @@ import pytest
 
 from exactci import ObservedTable, PotentialTable, ScaleGuard, enumerate_compatible, frontier_scan
 
-from conftest import count_calls, left_out, observed_tables
+from conftest import accepted_ntau, count_calls, left_out, observed_tables
 from oracle import (
     brute_compatibility,
     brute_frontier,
@@ -64,10 +64,11 @@ class TestBruteFrontier:
                         if statistic == "two_sided" and nobs.m > n - nobs.m:
                             continue
                         scan = frontier_scan(nobs, alpha, statistic)
-                        for (N11, N01), frontier in scan.frontiers.items():
-                            assert frontier == brute_frontier(
-                                N11, N01, nobs, alpha, statistic
-                            ), (nobs, alpha, statistic, N11, N01)
+                        for N11, row in enumerate(scan.frontiers):
+                            for N01, frontier in enumerate(row):
+                                assert frontier == brute_frontier(
+                                    N11, N01, nobs, alpha, statistic
+                                ), (nobs, alpha, statistic, N11, N01)
 
 
 class TestReferenceScan:
@@ -81,8 +82,10 @@ class TestReferenceScan:
         calls.clear()
         ref = reference_frontier_scan(nobs, alpha, statistic)
         key = (nobs, alpha, statistic)
-        assert list(scan.frontiers.items()) == list(ref.frontiers.items()), key
-        assert scan.accepted_ntau == ref.accepted_ntau, key
+        assert scan.frontiers == ref.frontiers, key
+        accepted = ref.accepted_ntau
+        assert scan.ends == ((min(accepted), max(accepted)) if accepted else None), key
+        assert accepted_ntau(scan, nobs, statistic) == accepted, key
         assert scan.tests == ref.tests == len(tested) + scan.settled, key
         # the scan calls the decision function on the reference's tables, in
         # its order, leaving out exactly the ones the previous row settles

@@ -76,11 +76,5 @@ def test_frontier_monotone_in_control_responders(statistic):
         if statistic == "two_sided" and nobs.m > nobs.n - nobs.m:
             nobs = nobs.switch_z()
         for alpha in ALPHAS:
-            scan = frontier_scan(nobs, alpha, statistic)
-            by_row: dict[int, list[tuple[int, int]]] = {}
-            for (N11, N01), frontier in scan.frontiers.items():
-                by_row.setdefault(N11, []).append((N01, frontier))
-            for rows in by_row.values():
-                rows.sort()
-                frontiers = [f for _, f in rows]
+            for frontiers in frontier_scan(nobs, alpha, statistic).frontiers:
                 assert frontiers == sorted(frontiers), (cells, alpha, statistic)

@@ -18,6 +18,7 @@ from exactci import (
 from exactci.tables import compatible_n10, iter_cell_decompositions
 
 from conftest import CONTROL_SIDE_MOVES, MOVES, observed_tables, shifted
+from oracle import brute_compatibility
 
 cell = st.integers(min_value=0, max_value=8)
 
@@ -147,7 +148,7 @@ class TestCompatibility:
                         expect = [
                             N10
                             for N10 in range(n - N11 - N01 + 1)
-                            if is_compatible(PotentialTable(N11, N10, N01, n - N11 - N10 - N01), nobs)
+                            if brute_compatibility(PotentialTable(N11, N10, N01, n - N11 - N10 - N01), nobs)
                         ]
                         assert list(compatible_n10(nobs, N11, N01)) == expect, (nobs, N11, N01)
 
