@@ -335,6 +335,8 @@ def ci_one_sided(
     The lower interval always reaches up to the maximum attainable effect
     (n11 + n00)/n; the upper interval is the outcome-label conjugate.
     """
+    if direction not in ("lower", "upper"):
+        raise ValueError(f"unknown direction {direction!r}; expected 'lower' or 'upper'")
     alpha = _check_scan_call(nobs, alpha)
     work = nobs if direction == "lower" else nobs.switch_y()
     accepted, tests = _scan_summary(work.as_tuple(), alpha, "one_sided")

@@ -22,9 +22,8 @@ tests, among them the binomial rows of every count up to n as one tuple
 directly; and exact decision bounds, so that a test already settled by an
 earlier decision on the same table runs no sum. The tail weight never increases
 as the observed statistic (one-sided) or the margin |obs - tau| (two-sided)
-grows, which makes the bounds exact. Bounds are held for the two most
-recently used groups only (`_BOUNDS_HELD`); a coverage sweep or a frontier
-CI uses one.
+grows, which makes the bounds exact. One kernel is held, the newest group's
+(`_kernel`); a coverage sweep or a frontier CI uses one group.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
@@ -125,7 +124,6 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(scaled, denom), Fraction(w, cn)) for scaled, w in _scaled_atoms(N.as_tuple(), m)]
 
 
-@lru_cache(maxsize=16)
 def _comb_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """rows[c] = C(c, k) for k = 0..c, for every count c = 0..n of a size-n table."""
     return tuple(map(_comb_row, range(n + 1)))
@@ -234,20 +232,14 @@ def _scaled_obs(nobs: ObservedTable) -> int:
     return n * (nobs.n11 * (n - m) - nobs.n01 * m)
 
 
-#: Decision bounds are held for this many groups, least recently used first.
-_BOUNDS_HELD = 2
-#: Group (n, m, need, statistic) -> (accepted, rejected): each maps a tested
-#: table (N11, N10, N01) to the largest key accepted and the least key rejected.
-_bounds: dict[tuple[int, int, int, str], tuple[dict, dict]] = {}
+@lru_cache(maxsize=1)
+def _kernel(n: int, m: int, need: int, statistic: str) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
+    """The newest group's kernel: (`_comb_rows(n)`, accepted, rejected).
 
-
-def _group_bounds(group: tuple[int, int, int, str]) -> tuple[dict, dict]:
-    """The bounds of a group, made the newest; the oldest beyond `_BOUNDS_HELD` are dropped."""
-    bounds = _bounds.pop(group, None) or ({}, {})
-    if len(_bounds) == _BOUNDS_HELD:
-        del _bounds[next(iter(_bounds))]
-    _bounds[group] = bounds
-    return bounds
+    accepted and rejected map a tested table (N11, N10, N01) to the largest
+    key accepted and the least key rejected; a new group starts them empty.
+    """
+    return _comb_rows(n), {}, {}
 
 
 def acceptor(
@@ -266,8 +258,9 @@ def acceptor(
     The decision function draws on its group's kernel, group = (n, m, need,
     statistic):
     - Constants, computed once per search: need, the sums' orientation
-      (swap = 2*m > n), m*(n - m), the scaled observed statistic, and the
-      binomial rows `_comb_rows(n)`, which `_tail_weight` indexes by count.
+      (swap = 2*m > n), m*(n - m) and the scaled observed statistic; and,
+      once per group, the binomial rows `_comb_rows(n)`, which
+      `_tail_weight` indexes by count.
     - Exact decision bounds, shared by every search of the group: for each
       tested table (N11, N10, N01), the largest key accepted so far and the
       least key rejected. The key is the scaled observed statistic of a
@@ -281,18 +274,17 @@ def acceptor(
       accepts without a sum. Keying the group by need, not alpha, keeps
       every decision weight >= need, so the bounds decide exactly as the
       sums would, and no result depends on what the bounds hold.
-    Bounds are held for the two most recently used groups only
-    (`_BOUNDS_HELD`): a coverage sweep or a frontier CI uses one, and at
-    most two groups' tested tables take memory at once.
+    One kernel is held, the newest group's (`_kernel`): a coverage sweep or
+    a frontier CI uses one group, and a search of another group starts that
+    group's rows and bounds anew. The kernel is read only after the checks.
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
     _guard(n)
     if statistic not in ("one_sided", "two_sided"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
-    rows = _comb_rows(n)
-    need = -(-alpha.numerator * rows[n][m] // alpha.denominator)
-    accepted, rejected = _group_bounds((n, m, need, statistic))
+    need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
+    rows, accepted, rejected = _kernel(n, m, need, statistic)
     accepted_key, rejected_key = accepted.get, rejected.get
     swap, mm = 2 * m > n, m * (n - m)
     obs = _scaled_obs(nobs)

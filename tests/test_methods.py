@@ -175,6 +175,12 @@ class TestOneSided:
             b = ci_one_sided(nobs, ALPHA, "lower").ci_ntau
             assert a == b
 
+    def test_unknown_direction_is_refused_before_any_scan(self, monkeypatch):
+        monkeypatch.setattr(methods, "_scan_summary", None)  # any scan would fail
+        for direction in ("sideways", "Lower", ""):
+            with pytest.raises(ValueError, match="'lower' or 'upper'"):
+                ci_one_sided(ObservedTable(8, 4, 5, 7), Fraction(1, 20), direction)
+
 
 def margin_inversion_reference(nobs: ObservedTable, alpha: Fraction) -> tuple[int, int]:
     """The definition: extreme n*tau over the compatible tables whose

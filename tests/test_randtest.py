@@ -376,10 +376,6 @@ def design_tables(n, m):
     return [ObservedTable(n11, m - n11, n01, n - m - n01) for n11 in range(m + 1) for n01 in range(n - m + 1)]
 
 
-def need_of(n, m, alpha):
-    return -(-alpha.numerator * comb(n, m) // alpha.denominator)
-
-
 def search(nobs, alpha, statistic):
     """What a search of nobs decides: a frontier scan, or brute force for a two-sided m > n - m."""
     if statistic == "two_sided" and nobs.m > nobs.n - nobs.m:
@@ -439,30 +435,33 @@ class TestDecisionKernel:
                 m = rng.randint(1, n - 1) if n <= 12 else rng.randint(1, n // 2)
                 statistic = rng.choice(("one_sided", "two_sided"))
                 alphas = rng.sample((Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 3)), 2)
-            randtest._bounds.clear()
-            decisions, sums = record_decisions(monkeypatch)
             tables = design_tables(n, m)
             rng.shuffle(tables)
-            # scan the design's tables at both levels in turn, up to a few thousand tests
-            for nobs in tables:
-                for alpha in rng.sample(alphas, 2):
-                    search(nobs, alpha, statistic)
-                if len(decisions) > 3000:
-                    break
-            monkeypatch.undo()
-            p_value = P_VALUES[statistic]
-            p_of = {}
-            for nobs, alpha, cells, accepted in decisions:
-                key = (cells, nobs.tau_hat)  # m and n are the design's
-                if key not in p_of:
-                    p_of[key] = p_value(PotentialTable(*cells), nobs)
-                assert accepted == (p_of[key] >= alpha), (n, m, statistic, nobs, alpha, cells)
+            # scan the design's tables at both levels in turn, switching kernels
+            # at every search, then at one level in a row, as a coverage sweep
+            # does, up to a few thousand tests each
+            for levels in ([rng.sample(alphas, 2) for _ in tables], [alphas[:1]] * len(tables)):
+                randtest._kernel.cache_clear()
+                decisions, sums = record_decisions(monkeypatch)
+                for nobs, order in zip(tables, levels):
+                    for alpha in order:
+                        search(nobs, alpha, statistic)
+                    if len(decisions) > 3000:
+                        break
+                monkeypatch.undo()
+                p_value = P_VALUES[statistic]
+                p_of = {}
+                for nobs, alpha, cells, accepted in decisions:
+                    key = (cells, nobs.tau_hat)  # m and n are the design's
+                    if key not in p_of:
+                        p_of[key] = p_value(PotentialTable(*cells), nobs)
+                    assert accepted == (p_of[key] >= alpha), (n, m, statistic, nobs, alpha, cells)
             assert len(sums) < len(decisions), (n, m, statistic)  # the bounds decided some tests
 
     def test_bounds_decide_a_share_of_a_design(self, monkeypatch):
         # a design's scans settle most of their tests by bounds, not sums
         decisions, sums = record_decisions(monkeypatch)
-        randtest._bounds.clear()
+        randtest._kernel.cache_clear()
         for statistic in ("one_sided", "two_sided"):
             for nobs in design_tables(12, 6):
                 frontier_scan(nobs, Fraction(1, 20), statistic)
@@ -475,11 +474,11 @@ class TestDecisionKernel:
             rng.shuffle(tables)
             target, others = tables[0], tables[1:]
             alpha = Fraction(1, 20)
-            randtest._bounds.clear()
+            randtest._kernel.cache_clear()
             for nobs in others:
                 frontier_scan(nobs, alpha, statistic)
             warm = frontier_scan(target, alpha, statistic)
-            randtest._bounds.clear()
+            randtest._kernel.cache_clear()
             cold = frontier_scan(target, alpha, statistic)
             assert warm == cold, (n, m, statistic, target)
             assert warm.tests == cold.tests > 0
@@ -491,7 +490,7 @@ class TestDecisionKernel:
             (ObservedTable(5, 2, 1, 8), "one_sided"),
             (ObservedTable(7, 3, 2, 4), "one_sided"),  # m > n - m
         ):
-            randtest._bounds.clear()
+            randtest._kernel.cache_clear()
             with monkeypatch.context() as patch:
                 decisions, sums = record_decisions(patch)
                 first = frontier_scan(nobs, Fraction(1, 20), statistic)
@@ -509,20 +508,39 @@ class TestDecisionKernel:
         for statistic, p_value in P_VALUES.items():
             assert low <= p_value(N, nobs) < high, statistic
             for order in ((low, high), (high, low)):
-                randtest._bounds.clear()
+                randtest._kernel.cache_clear()
                 for alpha in order * 2:
                     assert randtest.acceptor(nobs, alpha, statistic)(*N.as_tuple()) == (alpha == low), (statistic, alpha)
 
-    def test_newest_two_groups_are_held(self):
+    def test_newest_group_is_held(self, monkeypatch):
         nobs = ObservedTable(2, 3, 1, 4)
-        n, m = nobs.n, nobs.m
-        b = (n, m, need_of(n, m, Fraction(1, 10)), "two_sided")
-        c = (n, m, need_of(n, m, Fraction(1, 20)), "one_sided")
-        randtest._bounds.clear()
-        for alpha, statistic in ((Fraction(1, 20), "two_sided"), (Fraction(1, 10), "two_sided"), (Fraction(1, 20), "one_sided")):
-            frontier_scan(nobs, alpha, statistic)
-        assert list(randtest._bounds) == [b, c]
-        # a group in use is the newest
-        frontier_scan(nobs, Fraction(1, 10), "two_sided")
-        frontier_scan(ObservedTable(1, 1, 2, 1), Fraction(1, 20), "one_sided")
-        assert list(randtest._bounds) == [b, (5, 2, need_of(5, 2, Fraction(1, 20)), "one_sided")]
+        b, c = (Fraction(1, 10), "two_sided"), (Fraction(1, 20), "one_sided")
+        randtest._kernel.cache_clear()
+        first = {group: frontier_scan(nobs, *group) for group in (b, c)}
+        with monkeypatch.context() as patch:
+            patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+            assert frontier_scan(nobs, *c) == first[c]
+        with monkeypatch.context() as patch:
+            decisions, sums = record_decisions(patch)
+            assert frontier_scan(nobs, *b) == first[b]
+        assert sums  # b's bounds were dropped when c's kernel was made
+
+    def test_held_kernel_never_skips_a_check(self, monkeypatch):
+        nobs, alpha, statistic = ObservedTable(3, 4, 6, 3), Fraction(1, 20), "two_sided"
+        randtest._kernel.cache_clear()
+        first = frontier_scan(nobs, alpha, statistic)
+        refusals = (  # (error, alpha, statistic, size guard)
+            (ScaleGuard, alpha, statistic, nobs.n - 1),
+            (InvalidLevel, Fraction(3, 2), statistic, None),
+            (InvalidLevel, Fraction(0), statistic, None),
+            (ValueError, alpha, "three_sided", None),
+        )
+        for error, level, stat, cap in refusals:
+            with monkeypatch.context() as patch:
+                if cap is not None:
+                    patch.setenv(SCALE_GUARD_ENV, str(cap))
+                with pytest.raises(error):
+                    randtest.acceptor(nobs, level, stat)
+            with monkeypatch.context() as patch:
+                patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+                assert frontier_scan(nobs, alpha, statistic) == first, error
