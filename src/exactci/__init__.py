@@ -25,7 +25,7 @@ from .methods import (
     compute_ci,
     frontier_scan,
 )
-from .randtest import null_dist, p_one_sided, p_two_sided
+from .randtest import p_one_sided, p_two_sided
 from .tables import (
     ObservedTable,
     PotentialTable,
@@ -43,7 +43,6 @@ __all__ = [
     "enumerate_compatible",
     "attainable_ntau_range",
     "ci_count",
-    "null_dist",
     "p_one_sided",
     "p_two_sided",
     "MethodResult",

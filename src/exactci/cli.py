@@ -6,7 +6,9 @@ tables for a design). Every p-value is exact; compute and batch report the
 number of randomization tests each interval took.
 
 Alpha is parsed exactly: decimal strings become the rational of the literal
-("0.05" -> 1/20) and "a/b" fractions are taken as-is.
+("0.05" -> 1/20) and "a/b" fractions are taken as-is; its range is the
+library's rule. `compute` and each `batch` row take one path, and a bad
+`batch` row, or one over the size guard, is reported as a row error.
 
 Exit codes: 0 success, 2 validation error, 3 size guard, 4 I/O error,
 5 coverage below the nominal level.
@@ -15,7 +17,6 @@ Exit codes: 0 success, 2 validation error, 3 size guard, 4 I/O error,
 from __future__ import annotations
 
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ import click
 
 from .coverage import exact_coverage_sweep
 from .errors import ExactCIError, ScaleGuard
+from .hypergeom import _check_alpha
 from .methods import METHODS, MethodResult, compute_ci
 from .randtest import p_two_sided
 from .tables import ObservedTable, enumerate_compatible
@@ -35,12 +37,13 @@ EXIT_COVERAGE = 5
 
 METHOD_BY_NAME = {name: method for method, (name, _) in METHODS.items()}
 
+#: What malformed input raises: a refusal by the library, a bad number or
+#: name, or an alpha such as "1/0".
+INPUT_ERRORS = (ExactCIError, ValueError, ZeroDivisionError)
+
 
 def parse_alpha(text: str) -> Fraction:
-    alpha = Fraction(text)  # handles both "0.05" (exactly) and "1/20"
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {text}")
-    return alpha
+    return _check_alpha(Fraction(text))  # handles both "0.05" (exactly) and "1/20"
 
 
 def parse_table(text: str) -> ObservedTable:
@@ -63,6 +66,22 @@ def result_to_dict(result: MethodResult) -> dict:
     }
 
 
+_CSV_HEADER = [
+    "n11", "n10", "n01", "n00", "alpha", "method",
+    "ci_tau_lo", "ci_tau_hi", "ci_ntau_lo", "ci_ntau_hi", "tests",
+]
+
+
+def _write_csv(out, results: list[MethodResult]) -> None:
+    writer = csv.writer(out)
+    writer.writerow(_CSV_HEADER)
+    writer.writerows(
+        [*r.table.as_tuple(), str(r.alpha), r.method,
+         str(r.ci_tau[0]), str(r.ci_tau[1]), r.ci_ntau[0], r.ci_ntau[1], r.tests]
+        for r in results
+    )
+
+
 def _render_text(result: MethodResult) -> str:
     return "\n".join([
         f"table:  {result.table.as_tuple()}  (n={result.table.n}, m={result.table.m})",
@@ -83,8 +102,17 @@ def _run_guarded(fn):
         return fn()
     except ScaleGuard as exc:
         _fail(str(exc), EXIT_SCALE)
-    except (ExactCIError, ValueError, ZeroDivisionError) as exc:
+    except INPUT_ERRORS as exc:
         _fail(str(exc), EXIT_VALIDATION)
+
+
+def _compute(nobs: ObservedTable, alpha_text: str, method_name: str) -> MethodResult:
+    """One table's interval, for `compute` and for each `batch` row."""
+    alpha = parse_alpha(alpha_text)
+    method = METHOD_BY_NAME.get(method_name.strip())
+    if method is None:
+        raise ValueError(f"unknown method {method_name!r}")
+    return compute_ci(method, nobs, alpha)  # looked up here, so a wrapper can time each row
 
 
 @click.group()
@@ -103,39 +131,13 @@ _alpha_opt = click.option("--alpha", "alpha_str", default="0.05", show_default=T
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text", show_default=True)
 def compute(table_str, alpha_str, method, fmt) -> None:
     """Confidence interval for a single observed table."""
-
-    def run() -> MethodResult:
-        nobs = parse_table(table_str)
-        alpha = parse_alpha(alpha_str)
-        return compute_ci(METHOD_BY_NAME[method], nobs, alpha)
-
-    result = _run_guarded(run)
+    result = _run_guarded(lambda: _compute(parse_table(table_str), alpha_str, method))
     if fmt == "json":
         click.echo(json.dumps(result_to_dict(result)))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(_CSV_HEADER)
-        writer.writerow(_csv_row(result))
-        click.echo(buf.getvalue().rstrip("\n"))
+        _write_csv(sys.stdout, [result])
     else:
         click.echo(_render_text(result))
-
-
-_CSV_HEADER = [
-    "n11", "n10", "n01", "n00", "alpha", "method",
-    "ci_tau_lo", "ci_tau_hi", "ci_ntau_lo", "ci_ntau_hi", "tests",
-]
-
-
-def _csv_row(result: MethodResult) -> list:
-    t = result.table
-    return [
-        t.n11, t.n10, t.n01, t.n00, str(result.alpha), result.method,
-        str(result.ci_tau[0]), str(result.ci_tau[1]),
-        result.ci_ntau[0], result.ci_ntau[1],
-        result.tests,
-    ]
 
 
 @main.command()
@@ -153,7 +155,7 @@ def batch(input_file, output_file, fmt) -> None:
     except OSError as exc:
         _fail(str(exc), EXIT_IO)
     with fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row's missing fields read as ""
         required = {"n11", "n10", "n01", "n00", "alpha", "method"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             _fail(f"input header must contain {sorted(required)}", EXIT_VALIDATION)
@@ -162,12 +164,8 @@ def batch(input_file, output_file, fmt) -> None:
         for i, row in enumerate(reader, start=2):  # header is line 1
             try:
                 nobs = ObservedTable(*(int(row[k]) for k in ("n11", "n10", "n01", "n00")))
-                alpha = parse_alpha(row["alpha"])
-                method = METHOD_BY_NAME.get(row["method"].strip())
-                if method is None:
-                    raise ValueError(f"unknown method {row['method']!r}")
-                results.append(compute_ci(method, nobs, alpha))
-            except (ExactCIError, ValueError, KeyError, TypeError) as exc:
+                results.append(_compute(nobs, row["alpha"], row["method"]))
+            except INPUT_ERRORS as exc:
                 click.echo(f"error: row {i}: {exc}", err=True)
                 failures += 1
     try:
@@ -178,10 +176,7 @@ def batch(input_file, output_file, fmt) -> None:
         if fmt == "json":
             out.write(json.dumps([result_to_dict(r) for r in results]) + "\n")
         else:
-            writer = csv.writer(out)
-            writer.writerow(_CSV_HEADER)
-            for r in results:
-                writer.writerow(_csv_row(r))
+            _write_csv(out, results)
     if failures:
         sys.exit(EXIT_VALIDATION)
 

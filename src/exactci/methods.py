@@ -30,11 +30,12 @@ scan's test count; never the rows, about n^2/2 ints a scan), keyed by
 (scanned table, alpha, statistic). It holds the newest `_SCAN_CACHE_SIZE`
 (8,192) entries, about 4 MB when full. The upper side of X is the lower
 side of X's outcome-label mirror, and a design with m > n - m is scanned
-through its treatment-label conjugate, so across a coverage sweep or a
-batch these constructions share one scan. A cached scan
-still counts its tests in every result that reads it, and the exact-size
-guard is checked on every call before the cache is read, so neither the
-result nor a refusal depends on what is cached.
+through its treatment-label conjugate, so these constructions share scans
+within a coverage sweep and across the sweeps of conjugate designs (n, m)
+and (n, n - m); the scans of the batch-shared benchmark workload do not
+repeat. A cached scan still counts its tests in every result that reads it,
+and the exact-size guard is checked on every call before the cache is read,
+so neither the result nor a refusal depends on what is cached.
 """
 
 from __future__ import annotations

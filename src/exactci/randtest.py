@@ -68,9 +68,9 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator, Literal
 
-from .errors import DegenerateArm, SizeMismatch
+from .errors import DegenerateArm
 from .hypergeom import _at_most, _check_alpha, _comb_row, _guard
-from .tables import ObservedTable, PotentialTable
+from .tables import ObservedTable, PotentialTable, _check_pair
 
 __all__ = [
     "acceptor",
@@ -312,11 +312,6 @@ def acceptor(
         return False
 
     return accepts
-
-
-def _check_pair(N: PotentialTable, nobs: ObservedTable) -> None:
-    if N.n != nobs.n:
-        raise SizeMismatch(f"potential table n={N.n} vs observed n={nobs.n}")
 
 
 def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:

@@ -130,10 +130,15 @@ class PotentialTable:
         return PotentialTable(self.N11, self.N01, self.N10, self.N00)
 
 
-def is_compatible(N: PotentialTable, nobs: ObservedTable) -> bool:
-    """Whether some unit-level arrangement summarized by N yields nobs."""
+def _check_pair(N: PotentialTable, nobs: ObservedTable) -> None:
+    """Refuse a potential and an observed table of different sizes."""
     if N.n != nobs.n:
         raise SizeMismatch(f"potential table has n={N.n}, observed table n={nobs.n}")
+
+
+def is_compatible(N: PotentialTable, nobs: ObservedTable) -> bool:
+    """Whether some unit-level arrangement summarized by N yields nobs."""
+    _check_pair(N, nobs)
     return N.N10 in compatible_n10(nobs, N.N11, N.N01)
 
 

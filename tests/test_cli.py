@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from exactci import MethodResult, ObservedTable, ci_two_sided_frontier
+from exactci import InvalidLevel, MethodResult, ObservedTable, ci_two_sided_frontier
 from exactci.cli import (
     EXIT_COVERAGE,
     EXIT_SCALE,
@@ -44,9 +44,10 @@ class TestParsing:
         assert parse_alpha("1/20") == Fraction(1, 20)
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError):
+        # the library's one alpha rule
+        with pytest.raises(InvalidLevel):
             parse_alpha("1")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLevel):
             parse_alpha("0")
 
     def test_table(self):
@@ -153,6 +154,21 @@ class TestCompute:
         assert json.loads(res.output)["ci_ntau"] == [-4, 14]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "--table", "1,1,1,13", "--method", "two-sided"],
+        ["enumerate", "--table", "1,1,1,13"],
+        ["coverage", "--n", "6", "--m", "3"],
+    ],
+)
+def test_alpha_with_zero_denominator(runner, args):
+    res = runner.invoke(main, [*args, "--alpha", "1/0"])
+    assert res.exit_code == EXIT_VALIDATION
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+
+
 class TestBatch:
     HEADER = "n11,n10,n01,n00,alpha,method\n"
 
@@ -189,6 +205,45 @@ class TestBatch:
         assert "row 3" in res.stderr
         rows = list(csv.DictReader(io.StringIO(res.stdout)))
         assert len(rows) == 1  # good row still emitted
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            "8,4,5,7,1/0,two-sided",
+            "8,4,5,7,abc,two-sided",
+            "8,4,5,7,0,two-sided",
+            "8,4,5,7",
+            "8,4,5,7,0.05",
+            "8,4,5,7,0.05,",
+            "8,4,5,7,0.05,sideways",
+        ],
+    )
+    def test_malformed_row_is_a_row_error(self, runner, tmp_path, bad_row):
+        # the bad row, between two good ones, fails alone and as compute
+        # fails: exit 2, no traceback
+        path = tmp_path / "in.csv"
+        path.write_text(
+            self.HEADER
+            + "1,1,1,13,0.05,two-sided\n"
+            + bad_row + "\n"
+            + "2,6,8,0,0.05,brute-force\n"
+        )
+        res = runner.invoke(main, ["batch", str(path)])
+        assert res.exit_code == EXIT_VALIDATION
+        assert isinstance(res.exception, SystemExit)
+        assert "row 3:" in res.stderr
+        rows = list(csv.DictReader(io.StringIO(res.stdout)))
+        assert [(r["ci_ntau_lo"], r["ci_ntau_hi"]) for r in rows] == [("-1", "14"), ("-14", "-5")]
+
+    def test_row_over_size_guard_is_a_row_error(self, runner, tmp_path, monkeypatch):
+        # compute exits 3 on it; in a batch it fails its row alone, exit 2
+        monkeypatch.setenv("EXACTCI_MAX_EXACT_N", "10")
+        path = tmp_path / "in.csv"
+        path.write_text(self.HEADER + "4,4,4,4,0.05,two-sided\n" + "1,1,1,5,0.05,two-sided\n")
+        res = runner.invoke(main, ["batch", str(path)])
+        assert res.exit_code == EXIT_VALIDATION
+        assert "row 2:" in res.stderr and "n=16 > limit 10" in res.stderr
+        assert len(list(csv.DictReader(io.StringIO(res.stdout)))) == 1
 
     def test_missing_header(self, runner, tmp_path):
         path = tmp_path / "in.csv"

@@ -18,11 +18,11 @@ from exactci import (
     SizeMismatch,
     ci_brute_force,
     frontier_scan,
-    null_dist,
     p_one_sided,
     p_two_sided,
 )
 from exactci import randtest
+from exactci.randtest import null_dist
 from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, max_exact_n
 from exactci.methods import FrontierScan
 
