@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 import click
@@ -37,13 +38,16 @@ EXIT_COVERAGE = 5
 
 METHOD_BY_NAME = {name: method for method, (name, _) in METHODS.items()}
 
-#: What malformed input raises: a refusal by the library, a bad number or
-#: name, or an alpha such as "1/0".
-INPUT_ERRORS = (ExactCIError, ValueError, ZeroDivisionError)
+#: What malformed input raises: a refusal by the library, or a bad number or name.
+INPUT_ERRORS = (ExactCIError, ValueError)
 
 
 def parse_alpha(text: str) -> Fraction:
-    return _check_alpha(Fraction(text))  # handles both "0.05" (exactly) and "1/20"
+    try:
+        alpha = Fraction(text)  # handles both "0.05" (exactly) and "1/20"
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"alpha must be a decimal or a fraction in (0, 1), got {text!r}") from None
+    return _check_alpha(alpha)
 
 
 def parse_table(text: str) -> ObservedTable:
@@ -95,6 +99,16 @@ def _render_text(result: MethodResult) -> str:
 def _fail(message: str, code: int) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _open(path: str, mode: str):
+    """The file at path, or for "-" the standard stream, which stays open."""
+    if path == "-":
+        return nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    try:
+        return open(path, mode, newline="")
+    except OSError as exc:
+        _fail(str(exc), EXIT_IO)
 
 
 def _run_guarded(fn):
@@ -150,11 +164,7 @@ def batch(input_file, output_file, fmt) -> None:
     Output rows keep the input order. Malformed rows are reported with their
     row number on stderr; if any row fails the exit code is 2.
     """
-    try:
-        fh = sys.stdin if input_file == "-" else open(input_file, newline="")
-    except OSError as exc:
-        _fail(str(exc), EXIT_IO)
-    with fh:
+    with _open(input_file, "r") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row's missing fields read as ""
         required = {"n11", "n10", "n01", "n00", "alpha", "method"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -168,11 +178,7 @@ def batch(input_file, output_file, fmt) -> None:
             except INPUT_ERRORS as exc:
                 click.echo(f"error: row {i}: {exc}", err=True)
                 failures += 1
-    try:
-        out = sys.stdout if output_file == "-" else open(output_file, "w", newline="")
-    except OSError as exc:
-        _fail(str(exc), EXIT_IO)
-    with out:
+    with _open(output_file, "w") as out:
         if fmt == "json":
             out.write(json.dumps([result_to_dict(r) for r in results]) + "\n")
         else:

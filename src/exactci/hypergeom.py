@@ -9,11 +9,12 @@ denominators with big-integer binomial coefficients.
 with exact coverage at least 1 - alpha for every true value. It is the one
 construction the count-based effect methods use: the shrunk admissible
 intervals of Wang (2015), "Exact optimal confidence intervals for
-hypergeometric parameters", JASA. The shrink starts from the equal-tail
-inversion, which keeps every marked count whose two exact tail probabilities
-at x are both strictly above alpha/2, and moves endpoints inward in pairs
-that keep the tables symmetric under swapping the outcome labels, while the
-exact coverage of every marked count stays strictly above 1 - alpha. The
+hypergeometric parameters", JASA. The tables are symmetric under swapping
+the outcome labels, so one array of lower ends describes them: the upper end
+at x is total minus the lower end at sample - x. The shrink starts from the
+equal-tail inversion, which keeps every marked count whose two exact tails at
+x are both strictly above alpha/2, and raises lower ends one at a time while
+the exact coverage of every marked count stays strictly above 1 - alpha. The
 intervals reproduce the published Bonferroni and margin-inversion intervals
 of the six example tables exactly.
 
@@ -94,92 +95,81 @@ def _check_alpha(alpha: Fraction | float) -> Fraction:
     return alpha
 
 
-def _weights(total: int, sample: int, marked: int) -> list[int]:
-    """w[x] = C(marked, x) * C(total - marked, sample - x) for x = 0..sample.
+def _weights(total: int, sample: int) -> list[list[int]]:
+    """w[marked][x] = C(marked, x) * C(total - marked, sample - x), x = 0..sample.
 
-    The weights sum to C(total, sample); w[x] is zero off the support.
+    Each row sums to C(total, sample) and is zero off the support.
     """
-    a, b = _comb_row(marked), _comb_row(total - marked)
-    lo, hi = max(0, sample - (total - marked)), min(sample, marked)
-    return [a[x] * b[sample - x] if lo <= x <= hi else 0 for x in range(sample + 1)]
+    rows = []
+    for marked in range(total + 1):
+        a, b = _comb_row(marked), _comb_row(total - marked)
+        lo, hi = max(0, sample - (total - marked)), min(sample, marked)
+        rows.append([a[x] * b[sample - x] if lo <= x <= hi else 0 for x in range(sample + 1)])
+    return rows
+
+
+def _lower_ends(weights: list[list[int]], alpha: Fraction) -> list[int]:
+    """lo[x], the least marked count whose exact P(X >= x) is above alpha/2.
+
+    That tail is nondecreasing in the marked count, so lo is nondecreasing
+    in x and one scan finds it. Tails are compared on cleared denominators:
+    W/cn > p/q  <=>  W*q > p*cn.
+    """
+    half = alpha / 2
+    q, bound = half.denominator, half.numerator * sum(weights[0])
+    lo, marked = [], 0
+    for x in range(len(weights[0])):
+        while sum(weights[marked][x:]) * q <= bound:
+            marked += 1  # terminates: the last row's tail is cn and cn*q > bound
+        lo.append(marked)
+    return lo
 
 
 def _equal_tail_tables(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Endpoint arrays (lo[x], hi[x]) of the equal-tail inversion for all x.
 
-    Both arrays are nondecreasing in x; the scans exploit that. Tail
-    comparisons run on cleared denominators: W/cn > p/q  <=>  W*q > p*cn,
-    with suffix[marked][x] the unnormalized P(X >= x).
+    hi mirrors lo: P_marked(X <= x) = P_{total-marked}(X >= sample - x).
     """
-    suffix = []
-    for marked in range(total + 1):
-        row = [0] * (sample + 2)
-        w = _weights(total, sample, marked)
-        for x in range(sample, -1, -1):
-            row[x] = row[x + 1] + w[x]
-        suffix.append(row)
-    cn = comb(total, sample)
-    half = alpha / 2
-    p, q = half.numerator, half.denominator
-    bound = p * cn
-    lo = [0] * (sample + 1)
-    marked = 0
-    for x in range(sample + 1):
-        if x > 0:
-            marked = lo[x - 1]
-        while suffix[marked][x] * q <= bound:
-            marked += 1  # terminates: suffix[total][x] = cn and cn*q > bound
-        lo[x] = marked
-    hi = [0] * (sample + 1)
-    marked = total
-    for x in range(sample, -1, -1):
-        if x < sample:
-            marked = hi[x + 1]
-        while (cn - suffix[marked][x + 1]) * q <= bound:
-            marked -= 1  # terminates: prefix at marked=0 is cn
-        hi[x] = marked
-    return tuple(lo), tuple(hi)
+    lo = _lower_ends(_weights(total, sample), alpha)
+    return tuple(lo), tuple(total - a for a in reversed(lo))
 
 
 @lru_cache(maxsize=10_000)
 def _refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shrunk endpoint arrays (lo[x], hi[x]) for all x, starting from equal-tail.
 
-    Each move raises lo[x] by one together with lowering hi[sample - x] by
-    one, so the tables stay symmetric under swapping the outcome labels
-    (marked -> total - marked, x -> sample - x): lo[x] = total - hi[sample - x].
-    A move is taken only if both arrays stay nondecreasing in x, every
-    interval stays nonempty, and the exact coverage of every marked count
-    stays strictly above 1 - alpha. Rounds visit x widest interval first
-    (ties by x), trying the move that raises lo[x] and then the one that
-    lowers hi[x], until a round takes no move. Deterministic.
+    Only lo is kept, with hi[x] = total - lo[sample - x], so raising lo[x]
+    by one lowers hi[sample - x] by one. A move is taken only if lo stays
+    nondecreasing in x (then hi does too), every interval stays nonempty,
+    and the exact coverage of every marked count stays strictly above
+    1 - alpha. Rounds visit x widest interval first (ties by x), trying the
+    move that raises lo[x] and then the one that lowers hi[x], until a
+    round takes no move. Deterministic.
 
     Coverage is kept per marked count on cleared denominators and updated
     by the one weight a move drops, so a trial move costs O(1).
     """
-    los, his = _equal_tail_tables(total, sample, alpha)
-    lo, hi = list(los), list(his)
+    weights = _weights(total, sample)
+    lo = _lower_ends(weights, alpha)
     p, q = alpha.numerator, alpha.denominator
     bound = (q - p) * comb(total, sample)  # covered*q > bound <=> coverage > 1 - alpha
-    weights = [_weights(total, sample, marked) for marked in range(total + 1)]
     covered = [0] * (total + 1)
     for x in range(sample + 1):
-        for marked in range(lo[x], hi[x] + 1):
+        for marked in range(lo[x], total - lo[sample - x] + 1):
             covered[marked] += weights[marked][x]
 
     def shrink(x: int) -> bool:
-        # raise lo[x] and lower hi[sample - x]; by the symmetry the second
+        # raise lo[x], which lowers hi[sample - x]; by the symmetry that
         # drops marked count total - a at sample - x with the same weight.
         # At x == y both ends of one interval move, so it must keep two counts.
         a, y = lo[x], sample - x
-        if a + 1 > hi[x] - (x == y) or (x < sample and a + 1 > lo[x + 1]):
+        if a + 1 > total - lo[y] - (x == y) or (x < sample and a + 1 > lo[x + 1]):
             return False
         w = weights[a][x]
         covered[a] -= w
         covered[total - a] -= w
         if covered[a] * q > bound:  # covered[] is symmetric too
             lo[x] += 1
-            hi[y] -= 1
             return True
         covered[a] += w
         covered[total - a] += w
@@ -188,10 +178,10 @@ def _refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[
     improved = True
     while improved:
         improved = False
-        for x in sorted(range(sample + 1), key=lambda x: (lo[x] - hi[x], x)):
+        for x in sorted(range(sample + 1), key=lambda x: (lo[x] + lo[sample - x], x)):
             improved |= shrink(x)
             improved |= shrink(sample - x)
-    return tuple(lo), tuple(hi)
+    return tuple(lo), tuple(total - a for a in reversed(lo))
 
 
 def ci_count(total: int, sample: int, x: int, alpha: Fraction) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Confidence interval constructions for the average causal effect.
 
-Five constructions, all with guaranteed finite-sample coverage:
+Five constructions serve the six method ids (the one-sided one serves two),
+all with guaranteed finite-sample coverage:
 
 * ``ci_bonferroni``: intersect two marginal hypergeometric count intervals.
 * ``ci_margin_inversion``: invert tests whose statistic depends on the

@@ -8,13 +8,16 @@ and exact coverage by visiting every treated-count split of every true table.
 The reference scan, enumeration and coverage weight keep the straightforward
 loops the fast paths replaced: per-cell `compatible_n10` calls, one
 `is_compatible` call per potential table, and one difference of prefix sums
-per covering run.
+per covering run. The reference count-interval tables keep both endpoint
+arrays, each with its own scan and update, where `hypergeom` keeps the lower
+ends and mirrors them.
 Deliberately slow; used only to cross-check the fast paths.
 """
 
 from __future__ import annotations
 
 import math
+from math import comb
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -46,6 +49,8 @@ __all__ = [
     "coverage_by_splits",
     "reference_covered_weight",
     "at_most_rows",
+    "reference_equal_tail_tables",
+    "reference_refined_endpoints",
 ]
 
 MAX_ENUM_N = 14
@@ -289,3 +294,102 @@ def reference_covered_weight(
             in_run = map(sub, at_most[i : i + k], at_most[j : j + k])
             covered += sum(map(mul, w, in_run))
     return covered
+
+
+def _marked_weights(total: int, sample: int, marked: int) -> list[int]:
+    """w[x] = C(marked, x) * C(total - marked, sample - x) for x = 0..sample.
+
+    The weights sum to C(total, sample); w[x] is zero off the support.
+    """
+    a, b = _comb_row(marked), _comb_row(total - marked)
+    lo, hi = max(0, sample - (total - marked)), min(sample, marked)
+    return [a[x] * b[sample - x] if lo <= x <= hi else 0 for x in range(sample + 1)]
+
+
+def reference_equal_tail_tables(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Endpoint arrays (lo[x], hi[x]) of the equal-tail inversion for all x.
+
+    Both arrays are nondecreasing in x; the scans exploit that. Tail
+    comparisons run on cleared denominators: W/cn > p/q  <=>  W*q > p*cn,
+    with suffix[marked][x] the unnormalized P(X >= x).
+    """
+    suffix = []
+    for marked in range(total + 1):
+        row = [0] * (sample + 2)
+        w = _marked_weights(total, sample, marked)
+        for x in range(sample, -1, -1):
+            row[x] = row[x + 1] + w[x]
+        suffix.append(row)
+    cn = comb(total, sample)
+    half = alpha / 2
+    p, q = half.numerator, half.denominator
+    bound = p * cn
+    lo = [0] * (sample + 1)
+    marked = 0
+    for x in range(sample + 1):
+        if x > 0:
+            marked = lo[x - 1]
+        while suffix[marked][x] * q <= bound:
+            marked += 1  # terminates: suffix[total][x] = cn and cn*q > bound
+        lo[x] = marked
+    hi = [0] * (sample + 1)
+    marked = total
+    for x in range(sample, -1, -1):
+        if x < sample:
+            marked = hi[x + 1]
+        while (cn - suffix[marked][x + 1]) * q <= bound:
+            marked -= 1  # terminates: prefix at marked=0 is cn
+        hi[x] = marked
+    return tuple(lo), tuple(hi)
+
+
+def reference_refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shrunk endpoint arrays (lo[x], hi[x]) for all x, starting from equal-tail.
+
+    Each move raises lo[x] by one together with lowering hi[sample - x] by
+    one, so the tables stay symmetric under swapping the outcome labels
+    (marked -> total - marked, x -> sample - x): lo[x] = total - hi[sample - x].
+    A move is taken only if both arrays stay nondecreasing in x, every
+    interval stays nonempty, and the exact coverage of every marked count
+    stays strictly above 1 - alpha. Rounds visit x widest interval first
+    (ties by x), trying the move that raises lo[x] and then the one that
+    lowers hi[x], until a round takes no move. Deterministic.
+
+    Coverage is kept per marked count on cleared denominators and updated
+    by the one weight a move drops, so a trial move costs O(1).
+    """
+    los, his = reference_equal_tail_tables(total, sample, alpha)
+    lo, hi = list(los), list(his)
+    p, q = alpha.numerator, alpha.denominator
+    bound = (q - p) * comb(total, sample)  # covered*q > bound <=> coverage > 1 - alpha
+    weights = [_marked_weights(total, sample, marked) for marked in range(total + 1)]
+    covered = [0] * (total + 1)
+    for x in range(sample + 1):
+        for marked in range(lo[x], hi[x] + 1):
+            covered[marked] += weights[marked][x]
+
+    def shrink(x: int) -> bool:
+        # raise lo[x] and lower hi[sample - x]; by the symmetry the second
+        # drops marked count total - a at sample - x with the same weight.
+        # At x == y both ends of one interval move, so it must keep two counts.
+        a, y = lo[x], sample - x
+        if a + 1 > hi[x] - (x == y) or (x < sample and a + 1 > lo[x + 1]):
+            return False
+        w = weights[a][x]
+        covered[a] -= w
+        covered[total - a] -= w
+        if covered[a] * q > bound:  # covered[] is symmetric too
+            lo[x] += 1
+            hi[y] -= 1
+            return True
+        covered[a] += w
+        covered[total - a] += w
+        return False
+
+    improved = True
+    while improved:
+        improved = False
+        for x in sorted(range(sample + 1), key=lambda x: (lo[x] - hi[x], x)):
+            improved |= shrink(x)
+            improved |= shrink(sample - x)
+    return tuple(lo), tuple(hi)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from exactci import InvalidLevel, MethodResult, ObservedTable, ci_two_sided_frontier
 from exactci.cli import (
     EXIT_COVERAGE,
+    EXIT_IO,
     EXIT_SCALE,
     EXIT_VALIDATION,
     main,
@@ -167,6 +169,7 @@ def test_alpha_with_zero_denominator(runner, args):
     assert res.exit_code == EXIT_VALIDATION
     assert isinstance(res.exception, SystemExit)
     assert res.stdout == ""
+    assert res.stderr == "error: alpha must be a decimal or a fraction in (0, 1), got '1/0'\n"
 
 
 class TestBatch:
@@ -206,18 +209,18 @@ class TestBatch:
         rows = list(csv.DictReader(io.StringIO(res.stdout)))
         assert len(rows) == 1  # good row still emitted
 
-    @pytest.mark.parametrize(
-        "bad_row",
-        [
-            "8,4,5,7,1/0,two-sided",
-            "8,4,5,7,abc,two-sided",
-            "8,4,5,7,0,two-sided",
-            "8,4,5,7",
-            "8,4,5,7,0.05",
-            "8,4,5,7,0.05,",
-            "8,4,5,7,0.05,sideways",
-        ],
-    )
+    #: each malformed row and the error it is reported with
+    MALFORMED = {
+        "8,4,5,7,1/0,two-sided": "alpha must be a decimal or a fraction in (0, 1), got '1/0'",
+        "8,4,5,7,abc,two-sided": "alpha must be a decimal or a fraction in (0, 1), got 'abc'",
+        "8,4,5,7,0,two-sided": "alpha must be in (0, 1), got 0",
+        "8,4,5,7": "alpha must be a decimal or a fraction in (0, 1), got ''",
+        "8,4,5,7,0.05": "unknown method ''",
+        "8,4,5,7,0.05,": "unknown method ''",
+        "8,4,5,7,0.05,sideways": "unknown method 'sideways'",
+    }
+
+    @pytest.mark.parametrize("bad_row", MALFORMED)
     def test_malformed_row_is_a_row_error(self, runner, tmp_path, bad_row):
         # the bad row, between two good ones, fails alone and as compute
         # fails: exit 2, no traceback
@@ -231,7 +234,7 @@ class TestBatch:
         res = runner.invoke(main, ["batch", str(path)])
         assert res.exit_code == EXIT_VALIDATION
         assert isinstance(res.exception, SystemExit)
-        assert "row 3:" in res.stderr
+        assert res.stderr == f"error: row 3: {self.MALFORMED[bad_row]}\n"
         rows = list(csv.DictReader(io.StringIO(res.stdout)))
         assert [(r["ci_ntau_lo"], r["ci_ntau_hi"]) for r in rows] == [("-1", "14"), ("-14", "-5")]
 
@@ -250,6 +253,29 @@ class TestBatch:
         path.write_text("a,b\n1,2\n")
         res = runner.invoke(main, ["batch", str(path)])
         assert res.exit_code == EXIT_VALIDATION
+
+    def test_missing_input_file_is_an_io_error(self, runner, tmp_path):
+        path = tmp_path / "absent.csv"
+        res = runner.invoke(main, ["batch", str(path)])
+        assert res.exit_code == EXIT_IO
+        assert str(path) in res.stderr and res.stdout == ""
+
+    def test_output_in_missing_directory_is_an_io_error(self, runner, tmp_path):
+        path, out = tmp_path / "in.csv", tmp_path / "absent" / "out.csv"
+        path.write_text(self.HEADER + "1,1,1,13,0.05,bonferroni\n")
+        res = runner.invoke(main, ["batch", str(path), "--output", str(out)])
+        assert res.exit_code == EXIT_IO
+        assert str(out) in res.stderr and res.stdout == ""
+
+    def test_standard_streams_stay_open(self, monkeypatch):
+        # "-" reads stdin and writes stdout; an in-process caller keeps both
+        stdin, stdout = io.StringIO(self.HEADER + "1,1,1,13,0.05,bonferroni\n"), io.StringIO()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        main(["batch", "-", "--output", "-"], standalone_mode=False)
+        assert not stdin.closed and not stdout.closed
+        rows = list(csv.DictReader(io.StringIO(stdout.getvalue())))
+        assert [(r["ci_ntau_lo"], r["ci_ntau_hi"]) for r in rows] == [("-2", "14")]
 
     def test_json_format_and_output_file(self, runner, tmp_path):
         path = tmp_path / "in.csv"

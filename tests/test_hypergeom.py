@@ -3,17 +3,21 @@
 `HyperGeomSpec`, `pmf`, `tail_ge` and `tail_le` are exact reference
 hypergeometric probabilities; the package itself only compares tail sums on
 cleared denominators. The equal-tail interval, the shrink's starting point,
-is read from `hypergeom._equal_tail_tables`.
+is read from `hypergeom._equal_tail_tables`, and both tables are compared
+with the two-array reference in `oracle`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
 from exactci import InvalidLevel, ci_count
-from exactci.hypergeom import _check_alpha, _equal_tail_tables
+from exactci.hypergeom import _check_alpha, _equal_tail_tables, _refined_endpoints
+
+from oracle import reference_equal_tail_tables, reference_refined_endpoints
 
 ALPHAS = (Fraction(1, 10), Fraction(1, 20), Fraction(1, 100))
 # levels the count-based methods ask for: alpha itself (margin inversion)
@@ -158,16 +162,18 @@ class TestCiCount:
 
     def test_matches_definitional_scan(self):
         # independent reimplementation: keep A iff both exact tails at x
-        # exceed alpha/2
-        total, sample, alpha = 16, 6, Fraction(1, 20)
-        for x in range(sample + 1):
-            kept = [
-                marked
-                for marked in range(total + 1)
-                if tail_ge(HyperGeomSpec(marked, total, sample), x) > alpha / 2
-                and tail_le(HyperGeomSpec(marked, total, sample), x) > alpha / 2
-            ]
-            assert equal_tail(total, sample, x, alpha) == (min(kept), max(kept))
+        # exceed alpha/2; the upper end is derived from the lower ones, so
+        # both ends are checked on every small key and on a few larger ones
+        keys = [(total, sample) for total in range(1, 11) for sample in range(total + 1)]
+        for (total, sample), alpha in product([*keys, (16, 6), (25, 9), (30, 30)], METHOD_ALPHAS):
+            for x in range(sample + 1):
+                kept = [
+                    marked
+                    for marked in range(total + 1)
+                    if tail_ge(HyperGeomSpec(marked, total, sample), x) > alpha / 2
+                    and tail_le(HyperGeomSpec(marked, total, sample), x) > alpha / 2
+                ]
+                assert equal_tail(total, sample, x, alpha) == (min(kept), max(kept)), (total, sample, x, alpha)
 
     def test_monotone_in_observation(self):
         for total, sample in [(14, 5), (20, 20), (30, 11)]:
@@ -186,6 +192,16 @@ class TestCiCount:
                 if prev is not None:  # smaller alpha gave a superset interval
                     assert prev[0] <= lo and hi <= prev[1]
                 prev = (lo, hi)
+
+    def test_tables_match_the_two_array_reference(self):
+        # the reference keeps both endpoint arrays, each with its own scan
+        # and update; the package keeps the lower ends and mirrors them
+        for total in range(1, 41):
+            for sample in range(total + 1):
+                for alpha in METHOD_ALPHAS:
+                    key = (total, sample, alpha)
+                    assert _equal_tail_tables(*key) == reference_equal_tail_tables(*key), key
+                    assert _refined_endpoints(*key) == reference_refined_endpoints(*key), key
 
     def test_returns_the_shrunk_interval(self):
         # the shrink lowers the upper end here; the equal-tail interval is wider
