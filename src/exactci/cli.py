@@ -43,11 +43,8 @@ INPUT_ERRORS = (ExactCIError, ValueError)
 
 
 def parse_alpha(text: str) -> Fraction:
-    try:
-        alpha = Fraction(text)  # handles both "0.05" (exactly) and "1/20"
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"alpha must be a decimal or a fraction in (0, 1), got {text!r}") from None
-    return _check_alpha(alpha)
+    """alpha from "0.05" (exactly) or "1/20"; the library's one alpha rule."""
+    return _check_alpha(text)
 
 
 def parse_table(text: str) -> ObservedTable:

@@ -85,11 +85,16 @@ def _check_alpha(alpha: Fraction | float) -> Fraction:
 
     A float is read by its shortest decimal form, as the CLI reads the
     literal: 0.1 is 1/10, not the binary value 0.1000000000000000055...
-    A valid `Fraction` is returned as it is, without a new one.
+    A valid `Fraction` is returned as it is, without a new one. A string
+    that `Fraction` cannot read, such as '1/0' or 'abc', is an
+    `InvalidLevel` too.
     """
     if type(alpha) is Fraction and 0 < alpha.numerator < alpha.denominator:
         return alpha
-    alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
+    try:
+        alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidLevel(f"alpha must be a decimal or a fraction in (0, 1), got {alpha!r}") from None
     if not 0 < alpha < 1:
         raise InvalidLevel(f"alpha must be in (0, 1), got {alpha}")
     return alpha

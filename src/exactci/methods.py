@@ -22,7 +22,10 @@ A test counts as one whether a tail sum decides it, or one of the exact
 decision bounds that `randtest.acceptor` keeps per design, or a frontier
 scan's previous row (see `frontier_scan`), just as a cached scan summary
 counts its scan's tests; so a count, like an interval, depends only on the
-table, the level and the method, never on what ran before.
+table, the level and the method, never on what ran before. The previous
+row settles rejects and accepts in every scan; an unbalanced two-sided
+scan carries only the accepts whose upper tail alone, the one-sided tail
+below the estimate, reaches the level.
 
 A `frontier_scan` returns its rows of frontiers, one list per N11, and the
 ends of its accepted n*tau. The frontier constructions read each scan
@@ -100,7 +103,8 @@ class FrontierScan:
     also caps N10 at N01 + floor(n*tau_hat), so its ends bound only effects
     at most the observed estimate. tests counts every decision the walk
     makes; settled counts those of them that the previous N11 row decided
-    (see `frontier_scan`), which call no decision function.
+    (see `frontier_scan`: rejects from its frontiers, accepts from its
+    seeds), which call no decision function.
     """
 
     frontiers: list[list[int]]
@@ -136,11 +140,15 @@ def frontier_scan(
     01->00, or if m = n/2 (any move). The property tests check these orders
     over every table of small n. Each decision so made is exact and counts
     as one test, so the frontiers, the ends and the count are those of a
-    walk that tests every candidate. The one state the rules read is the
-    previous row of frontiers, prev; hi is the cell's greatest candidate.
+    walk that tests every candidate. The state the rules read is the
+    previous row of frontiers, prev, and the previous row of seeds; hi is
+    the cell's greatest candidate.
     - Carry: the walk starts at the previous cell's frontier. A smaller N10
       is rejected, since the 01->00 move takes (N11, N10, N01) to
-      (N11, N10, N01 - 1), rejected in the previous cell.
+      (N11, N10, N01 - 1), rejected in the previous cell. Once the carry
+      exceeds avail = n - N11 - N01, this cell and every later one of the
+      row fall back untested, since the carry only grows and avail only
+      shrinks; they are filled in one step and have no compatible range.
     - Reject rule (every scan): with f = prev[N01], the frontier of cell
       (N11 - 1, N01), every candidate N10 <= min(f - 2, hi) is rejected, and
       the walk jumps past them. If f was accepted, the 11->10 move takes
@@ -150,15 +158,24 @@ def frontier_scan(
       hi + 1 and f - 2 = n - 1 >= hi; two-sided, top does not depend on
       N11, so hi_p is hi + 1 <= top (and f - 2 = top - 1 >= hi) or hi = top
       (and f - 2 = top - 1 = hi_p - 1).
-    - Accept rule (rows N11 >= 1 of one-sided scans, and of two-sided scans
-      with m = n/2): every candidate N10 >= f' = prev[N01 + 1] of cell
-      (N11, N01) is accepted, since the 01->11 move takes (N11 - 1, f',
-      N01 + 1) to (N11, f', N01) and 00->10 moves take that to each larger
-      N10. The walk stops at min(f', hi + 1). A fallback f' is top + 2
-      (two-sided) or n + 1 (one-sided), both above hi + 1, so the clip
-      alone makes it accept nothing.
+    - Accept rule (every scan): with f' the seed of cell (N11 - 1, N01 + 1),
+      every candidate N10 >= f' of cell (N11, N01) is accepted, since the
+      01->11 move takes (N11 - 1, f', N01 + 1) to (N11, f', N01) and 00->10
+      moves take that to each larger N10. The walk stops at min(f', hi + 1).
+      A seed is a cell's frontier whose accept these moves carry, and
+      never = n + 1 otherwise (a fallback, and the row before N11 = 0),
+      above hi + 1, so the clip alone makes it accept nothing. In one-sided
+      and balanced two-sided scans every accepted frontier is a seed. In an
+      unbalanced two-sided scan the 00->10 move can lower the two-sided p,
+      so a seed is a frontier that the decision function accepted by its
+      upper tail alone (`randtest.ACCEPT_UPPER`) or that this rule
+      accepted. Below the estimate the upper tail {estimate >= tau +
+      margin} is the one-sided tail {estimate >= observed}, so a seed has
+      one-sided p >= alpha; the one-sided p never falls under the moves,
+      and the two-sided p is at least the one-sided one.
     The decisions of these two rules are counted in `FrontierScan.settled`;
-    the rest are calls of the decision function.
+    the rest are calls of the decision function. Which frontiers seed
+    depends only on exact decisions, never on the decision bounds held.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
     label switch otherwise. The decision function is built by
@@ -170,23 +187,29 @@ def frontier_scan(
     if two_sided and m > n - m:
         raise ValueError("two-sided frontier scan requires m <= n - m; switch treatment labels first")
     accepts = randtest.acceptor(nobs, alpha, statistic)
+    upper_alone = randtest.ACCEPT_UPPER
     floor_nt = math.floor(nobs.tau_hat * n)  # exact: Fraction floor
     n11, n10, n01, n00 = nobs.as_tuple()
-    accept_rule = not two_sided or 2 * m == n
+    every_accept_seeds = not two_sided or 2 * m == n
     never = n + 1  # above every candidate
     rows: list[list[int]] = []
     prev = [0] * (n + 1)  # before row 0: rejects nothing
+    prev_seeds = [never] * (n + 2)  # before row 0: accepts nothing
     least, greatest = never, -never
     called = settled = 0
     for N11 in range(0, n11 + n01 + 1):
         # the parts of compatible_n10's bounds L0 and H0 that do not depend on N01
         lo_row = N11 - n01 if N11 > n01 else 0
         hi_row = N11 if N11 < n11 else n11
-        accepting = accept_rule and N11 > 0
-        row = []
+        row, seeds = [], []
         carry = 0
         for N01 in range(0, n - N11 + 1):
             avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
+            if carry > avail:  # this cell and every later one fall back untested
+                rest = avail + 1
+                row += range(N01 + floor_nt + 1, N01 + floor_nt + 1 + rest) if two_sided else [never] * rest
+                seeds += [never] * rest
+                break
             if two_sided:
                 top = N01 + floor_nt  # greatest N10 with effect <= the estimate
                 hi = top if top < avail else avail
@@ -199,20 +222,26 @@ def frontier_scan(
             if N10 <= lim:
                 settled += lim - N10 + 1
                 N10 = lim + 1
-            stop = prev[N01 + 1] if accepting else never
+            stop = prev_seeds[N01 + 1]
             if stop > hi:
                 stop = hi + 1
+            seed = never
             while N10 < stop:
                 called += 1
-                if accepts(N11, N10, N01, avail - N10):
+                decided = accepts(N11, N10, N01, avail - N10)
+                if decided:
+                    if every_accept_seeds or decided == upper_alone:
+                        seed = N10
                     break
                 N10 += 1
             else:
                 if N10 <= hi:  # at or above the accept rule's threshold
                     settled += 1
+                    seed = N10
                 else:
                     N10 = top + 1 if two_sided else never
             row.append(N10)
+            seeds.append(seed)
             carry = N10 if N10 > 0 else 0
             c = N11 + N01 - n01
             L0 = c - n10 if c - n10 > lo_row else lo_row
@@ -226,7 +255,7 @@ def frontier_scan(
                     if last - N01 > greatest:
                         greatest = last - N01
         rows.append(row)
-        prev = row
+        prev, prev_seeds = row, seeds
     ends = (least, greatest) if least <= greatest else None
     return FrontierScan(rows, ends, called + settled, settled)
 

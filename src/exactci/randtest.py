@@ -11,9 +11,12 @@ A search decides its tests by one integer comparison each. p >= alpha holds
 exactly when the tail weight is at least need = ceil(alpha * C(n, m)), so
 `acceptor` computes need and the scaled observed statistic once per search
 and returns `accepts(N11, N10, N01, N00)`, which builds no table and no
-`Fraction`. `p_one_sided` and `p_two_sided` return the exact `Fraction`
-p-value for the public API from the same tail-sum body, `_tail_weight`, run
-to its end, so both paths decide alike.
+`Fraction`. It returns REJECT (false), ACCEPT_UPPER when the upper tail
+alone reaches need, or ACCEPT when that takes the lower tail too; a
+frontier scan reads the upper tail's share as the one-sided test's.
+`p_one_sided` and `p_two_sided` return the exact `Fraction` p-value for the
+public API from the same tail-sum body, `_tail_weight`, run to its end, so
+both paths decide alike.
 
 Every search of one group (n, m, need, statistic) draws its decisions from
 that group's decision kernel (see `acceptor`): constants hoisted out of the
@@ -46,8 +49,9 @@ u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
   every assignment, so a lower tail {statistic <= lower} is summed as the
   mirror's upper tail {statistic >= -lower}.
 - Stop: a search's sum returns once its weight reaches need, checked once
-  per slice across both tails. That decides the test as the full sum
-  would, since the weight only grows. The public p-values pass no stop.
+  per slice across both tails, negated if the lower tail was needed. That
+  decides the test, and which tail reached need, as the full sums would,
+  since the weight only grows. The public p-values pass no stop.
 
 The prefix rows depend only on (N01, N00, r2) of the table or its mirror,
 so the neighbouring tables of a frontier scan, the repeated tests of a batch
@@ -73,6 +77,9 @@ from .hypergeom import _at_most, _check_alpha, _comb_row, _guard
 from .tables import ObservedTable, PotentialTable, _check_pair
 
 __all__ = [
+    "ACCEPT",
+    "ACCEPT_UPPER",
+    "REJECT",
     "acceptor",
     "null_dist",
     "p_one_sided",
@@ -169,8 +176,11 @@ def _tail_weight(
     and ends at its first slice with no split in the tail.
 
     With stop, the sum returns as soon as the weight is >= stop, checked
-    once per slice; the result is then >= stop exactly when the full weight
-    is, but it need not be the full weight.
+    once per slice, and reports which tail took it there: the weight so far
+    if the upper tail alone did, minus the weight so far if the lower
+    tail's slices were needed too. So the result is >= stop exactly when
+    the upper tail's weight is, <= -stop exactly when only both tails
+    together reach stop, and otherwise it is the full weight, below stop.
     """
     n = N11 + N10 + N01 + N00
     nm = n * m
@@ -186,7 +196,7 @@ def _tail_weight(
         A, B = n * (n - m), nm
     if rows is None:
         rows = _comb_rows(n)
-    weight = 0
+    weight, sign = 0, 1  # sign turns -1 on the mirror
     while True:
         c11, c10 = rows[N11], rows[N10]
         c1, c0 = rows[N11 + N10], rows[N01 + N00]
@@ -218,12 +228,12 @@ def _tail_weight(
                     for x11 in range(a, b if b <= last else last + 1):
                         weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
             if stop is not None and weight >= stop:
-                return weight
+                return sign * weight
         if lower is None:
             return weight
         # the mirror of the transposed table is the transposed mirror, so
         # the mirror of the table just summed is summed next
-        N11, N10, N01, N00, upper, lower = N00, N01, N10, N11, lower, None
+        N11, N10, N01, N00, upper, lower, sign = N00, N01, N10, N11, lower, None, -1
 
 
 def _scaled_obs(nobs: ObservedTable) -> int:
@@ -232,28 +242,41 @@ def _scaled_obs(nobs: ObservedTable) -> int:
     return n * (nobs.n11 * (n - m) - nobs.n01 * m)
 
 
-@lru_cache(maxsize=1)
-def _kernel(n: int, m: int, need: int, statistic: str) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
-    """The newest group's kernel: (`_comb_rows(n)`, accepted, rejected).
+#: What a decision function returns. Only REJECT is false. ACCEPT_UPPER is
+#: an accept whose upper tail {statistic >= upper} alone reaches need;
+#: ACCEPT is one that needs the lower tail too, or a two-sided margin of 0.
+REJECT, ACCEPT, ACCEPT_UPPER = 0, 1, 2
 
-    accepted and rejected map a tested table (N11, N10, N01) to the largest
-    key accepted and the least key rejected; a new group starts them empty.
+
+@lru_cache(maxsize=1)
+def _kernel(n: int, m: int, need: int, statistic: str) -> tuple[tuple[tuple[int, ...], ...], dict, dict, dict]:
+    """The newest group's kernel: (`_comb_rows(n)`, upper, both, rejected).
+
+    They map a tested table (N11, N10, N01) to the largest key decided
+    ACCEPT_UPPER, to the least and greatest key decided ACCEPT (a pair), and
+    to the least key decided REJECT. A new group starts them empty.
     """
-    return _comb_rows(n), {}, {}
+    return _comb_rows(n), {}, {}, {}
 
 
 def acceptor(
     nobs: ObservedTable,
     alpha: Fraction,
     statistic: Literal["one_sided", "two_sided"] = "two_sided",
-) -> Callable[[int, int, int, int], bool]:
-    """accepts(N11, N10, N01, N00): whether the test of that table against nobs has p >= alpha.
+) -> Callable[[int, int, int, int], int]:
+    """accepts(N11, N10, N01, N00): the test of that table against nobs, as REJECT, ACCEPT or ACCEPT_UPPER.
 
-    The table must have nobs's size n. The size guard, alpha and statistic
-    are checked here, once, so a refusal comes before any test. p >= alpha
-    is decided as weight >= need = ceil(alpha * C(n, m)), an integer
-    comparison equivalent to the `Fraction` one, and each sum stops once it
-    reaches need.
+    The result is false exactly when p < alpha. An accept is ACCEPT_UPPER
+    when the upper tail alone reaches need: the tail {statistic >= obs} of a
+    one-sided test, so every one-sided accept; and of a two-sided one, the
+    tail {statistic >= tau + margin}, which for a table with effect at most
+    the estimate is the one-sided tail again. A two-sided margin of 0
+    (p = 1) is ACCEPT without a sum. The table must have nobs's size n. The
+    size guard, alpha and statistic are checked here, once, so a refusal
+    comes before any test. p >= alpha is decided as weight >= need =
+    ceil(alpha * C(n, m)), an integer comparison equivalent to the
+    `Fraction` one, by one stopped `_tail_weight` walk, whose sign tells
+    which tail reached need.
 
     The decision function draws on its group's kernel, group = (n, m, need,
     statistic):
@@ -261,19 +284,18 @@ def acceptor(
       (swap = 2*m > n), m*(n - m) and the scaled observed statistic; and,
       once per group, the binomial rows `_comb_rows(n)`, which
       `_tail_weight` indexes by count.
-    - Exact decision bounds, shared by every search of the group: for each
-      tested table (N11, N10, N01), the largest key accepted so far and the
-      least key rejected. The key is the scaled observed statistic of a
-      one-sided test and the margin |obs - m*(n - m)*(N10 - N01)| of a
-      two-sided one. For a fixed table and m the tail {statistic >= key},
-      or {|statistic - tau| >= key}, only shrinks as the key grows, so the
-      weight never increases: a key at or below the accepted bound has
-      weight >= need and accepts, and a key at or above the rejected bound
-      rejects, each without a sum. Only a key between the two is summed,
-      and its decision moves one bound. A two-sided margin of 0 (p = 1)
-      accepts without a sum. Keying the group by need, not alpha, keeps
-      every decision weight >= need, so the bounds decide exactly as the
-      sums would, and no result depends on what the bounds hold.
+    - Exact decision bounds, shared by every search of the group. The key
+      is the scaled observed statistic of a one-sided test and the margin
+      |obs - m*(n - m)*(N10 - N01)| of a two-sided one. For a fixed table
+      and m, the upper tail and both tails together only shrink as the key
+      grows, so as the key grows a table's result steps down from
+      ACCEPT_UPPER to ACCEPT to REJECT. For each tested table the kernel
+      holds the largest key seen ACCEPT_UPPER, the least and greatest seen
+      ACCEPT and the least seen REJECT, and a key that they place decides
+      without a sum. Only a key that they do not place is summed, and its
+      result tightens them. Keying the group by need, not alpha, keeps every
+      decision weight >= need, so the bounds decide exactly as the sums
+      would, and no result depends on what the bounds hold.
     One kernel is held, the newest group's (`_kernel`): a coverage sweep or
     a frontier CI uses one group, and a search of another group starts that
     group's rows and bounds anew. The kernel is read only after the checks.
@@ -284,32 +306,42 @@ def acceptor(
     if statistic not in ("one_sided", "two_sided"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
     need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
-    rows, accepted, rejected = _kernel(n, m, need, statistic)
-    accepted_key, rejected_key = accepted.get, rejected.get
+    rows, upper_held, both_held, rejected_held = _kernel(n, m, need, statistic)
+    upper_key, both_keys, rejected_key = upper_held.get, both_held.get, rejected_held.get
     swap, mm = 2 * m > n, m * (n - m)
     obs = _scaled_obs(nobs)
     ceiling = 2 * n * mm + 1  # above every key
+    floor = -ceiling
     two_sided = statistic == "two_sided"
-    floor = 0 if two_sided else -ceiling  # a two-sided margin of 0 accepts: p = 1
 
-    def accepts(N11: int, N10: int, N01: int, N00: int) -> bool:
+    def accepts(N11: int, N10: int, N01: int, N00: int) -> int:
         if two_sided:
             t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
             key = obs - t_tau if obs > t_tau else t_tau - obs
+            if not key:
+                return ACCEPT  # p = 1; the two tails would overlap
             upper, lower = t_tau + key, t_tau - key
         else:
             key = upper = obs
             lower = None
         cell = N11, N10, N01
-        if key <= accepted_key(cell, floor):
-            return True
+        if key <= upper_key(cell, floor):
+            return ACCEPT_UPPER
         if key >= rejected_key(cell, ceiling):
-            return False
-        if _tail_weight(N11, N10, N01, N00, m, swap, upper, lower, need, rows) >= need:
-            accepted[cell] = key
-            return True
-        rejected[cell] = key
-        return False
+            return REJECT
+        if two_sided:  # a one-sided test has no lower tail, so no ACCEPT
+            both = both_keys(cell)
+            if both is not None and both[0] <= key <= both[1]:
+                return ACCEPT
+        weight = _tail_weight(N11, N10, N01, N00, m, swap, upper, lower, need, rows)
+        if weight >= need:
+            upper_held[cell] = key
+            return ACCEPT_UPPER
+        if weight < 0:
+            both_held[cell] = (key, key) if both is None else (min(key, both[0]), max(key, both[1]))
+            return ACCEPT
+        rejected_held[cell] = key
+        return REJECT
 
     return accepts
 

@@ -106,10 +106,15 @@ def accepted_ntau(scan, nobs: ObservedTable, statistic: str) -> set[int]:
 class TableMove:
     """Unit step on potential tables that raises n*tau by exactly 1.
 
-    A move changes one unit's potential outcomes. The control-side moves flip
-    a single control potential outcome from 1 to 0 (treated margin unchanged);
-    they are the subset for which two-sided p-value monotonicity holds in
-    unbalanced designs.
+    A move changes one unit's potential outcomes. The one-sided p-value never
+    falls under any of the four. The control-side moves flip a single control
+    potential outcome from 1 to 0 (treated margin unchanged); they are the
+    subset for which two-sided p-value monotonicity holds in unbalanced
+    designs. The others can lower the two-sided p there: the 00->10 move
+    takes N = (1, 1, 0, 1) to (1, 2, 0, 0) and p from 2/3 to 1/3 against the
+    observed (1, 0, 0, 2). So an unbalanced two-sided frontier scan seeds its
+    accept rule (01->11, then 00->10) only from accepts whose upper tail, the
+    one-sided tail below the estimate, reaches alpha alone.
     """
 
     delta: tuple[int, int, int, int]

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from exactci import InvalidLevel, ci_count
+from exactci import InvalidLevel, ObservedTable, ci_count, randtest
 from exactci.hypergeom import _check_alpha, _equal_tail_tables, _refined_endpoints
 
 from oracle import reference_equal_tail_tables, reference_refined_endpoints
@@ -232,6 +232,17 @@ class TestCheckAlpha:
         for alpha, shown in ((1.5, "3/2"), (0, "0"), (1, "1"), ("-0.5", "-1/2")):
             with pytest.raises(InvalidLevel, match=rf"^alpha must be in \(0, 1\), got {shown}$"):
                 _check_alpha(alpha)
+
+    def test_unreadable_strings_name_alpha(self):
+        # Fraction's own ZeroDivisionError and ValueError do not reach the caller
+        nobs = ObservedTable(2, 1, 1, 2)
+        for text in ("1/0", "abc", ""):
+            message = rf"^alpha must be a decimal or a fraction in \(0, 1\), got '{text}'$"
+            with pytest.raises(InvalidLevel, match=message):
+                ci_count(10, 5, 2, text)
+            for statistic in ("one_sided", "two_sided"):
+                with pytest.raises(InvalidLevel, match=message):
+                    randtest.acceptor(nobs, text, statistic)
 
 
 def exhaustive_coverage_ok(total: int, sample: int, alpha: Fraction, refine: bool) -> bool:

@@ -17,8 +17,9 @@ from conftest import (
     check_p2_move_monotonicity,
     check_two_sided_frontier_characterization,
     check_unbiasedness,
+    shifted,
 )
-from exactci import ObservedTable, frontier_scan
+from exactci import ObservedTable, PotentialTable, frontier_scan, p_one_sided, p_two_sided, randtest
 
 ALPHAS = (Fraction(1, 10), Fraction(1, 20))
 
@@ -41,6 +42,22 @@ def test_p2_monotone_under_control_side_moves_unbalanced(n):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_p2_monotone_under_all_moves_balanced(n):
     check_p2_move_monotonicity(n, balanced=True)
+
+
+def test_00_to_10_move_can_lower_p2_not_p1():
+    # m = 1 < n/2, both tables below the estimate: the 00->10 move, a cell's
+    # walk up N10, lowers the two-sided p, so a two-sided accept cannot seed
+    # the accept rule of an unbalanced scan; the one-sided p, the weight of
+    # the upper tail alone, does not fall, so an upper-tail accept can
+    nobs = ObservedTable(1, 0, 0, 2)
+    N, moved = PotentialTable(1, 1, 0, 1), PotentialTable(1, 2, 0, 0)
+    assert shifted(N, (0, 1, 0, -1)) == moved
+    assert N.tau < moved.tau <= nobs.tau_hat
+    assert (p_two_sided(N, nobs), p_two_sided(moved, nobs)) == (Fraction(2, 3), Fraction(1, 3))
+    assert (p_one_sided(N, nobs), p_one_sided(moved, nobs)) == (Fraction(1, 3), Fraction(1, 3))
+    # at alpha = 1/2, N is accepted only with its lower tail, so it is no seed
+    accepts = randtest.acceptor(nobs, Fraction(1, 2))
+    assert (accepts(*N.as_tuple()), accepts(*moved.as_tuple())) == (randtest.ACCEPT, randtest.REJECT)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -243,10 +243,17 @@ class TestTailWeight:
                     expect = sum(w for v, w in atoms if v >= upper or (lower is not None and v <= lower))
                     full = randtest._tail_weight(*cells, m, swap, upper, lower)
                     assert full == expect, (cells, m, upper, lower)
-                    for stop in {1, full // 2, full, full + 1}:
+                    near = sum(w for v, w in atoms if v >= upper)
+                    for stop in {1, full // 2, full, full + 1} - {0}:  # need is at least 1
+                        # a stopped sum tells which tail reached stop: the
+                        # upper one alone (>= stop), or both (<= -stop)
                         early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
-                        assert (early >= stop) == (full >= stop), (cells, m, upper, lower, stop)
-                        assert early <= full
+                        key = (cells, m, upper, lower, stop)
+                        assert (early >= stop) == (near >= stop), key
+                        assert (early <= -stop) == (near < stop <= full), key
+                        assert abs(early) <= full, key
+                        if -stop < early < stop:
+                            assert early == full, key
 
     def test_stop_returns_at_the_first_slice_that_reaches_it(self):
         # the walk takes the upper tail's slices by falling s = x11 + x10
@@ -273,10 +280,16 @@ class TestTailWeight:
                         elif lower is not None and v <= lower:
                             below[key] += w
                     slices = [above[key] for key in sorted(above, reverse=True)]
+                    upper_slices = len(slices)
                     slices += [below[key] for key in sorted(below)]
                     full = sum(slices)
                     for stop in {1, full // 2, full, full + 1} - {0}:  # need is at least 1
-                        expect = next((w for w in itertools.accumulate(slices) if w >= stop), full)
+                        # negated when the slice that reaches stop is the lower tail's
+                        expect = next(
+                            (w if i < upper_slices else -w
+                             for i, w in enumerate(itertools.accumulate(slices)) if w >= stop),
+                            full,
+                        )
                         early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
                         assert early == expect, (cells, m, upper, lower, stop)
 
@@ -296,6 +309,28 @@ def zero_margin_pair(rng, n):
     return PotentialTable(N11, N10, N01, n - N11 - N10 - N01), ObservedTable(n11, m - n11, n01, n - m - n01)
 
 
+def upper_tail_p(N, nobs, statistic):
+    """p of the upper tail a decision reads alone, or None for a two-sided margin of 0.
+
+    One-sided, or two-sided with tau < tau_hat, it is the one-sided p-value;
+    two-sided with tau > tau_hat it is P(estimate >= 2*tau - tau_hat).
+    """
+    if statistic == "one_sided" or N.tau < nobs.tau_hat:
+        return p_one_sided(N, nobs)
+    if N.tau == nobs.tau_hat:
+        return None
+    n, m = N.n, nobs.m
+    upper = 2 * m * (n - m) * (N.N10 - N.N01) - randtest._scaled_obs(nobs)
+    return Fraction(randtest._tail_weight(*N.as_tuple(), m, 2 * m > n, upper), comb(n, m))
+
+
+def check_decision(decided, p, near, alpha, key):
+    """A decision is true exactly when p >= alpha, and ACCEPT_UPPER exactly when the upper tail's p is."""
+    assert decided in (randtest.REJECT, randtest.ACCEPT, randtest.ACCEPT_UPPER), key
+    assert bool(decided) == (p >= alpha), key
+    assert (decided == randtest.ACCEPT_UPPER) == (near is not None and near >= alpha), key
+
+
 class TestAcceptor:
     """The integer threshold decides exactly as p >= alpha does."""
 
@@ -304,9 +339,9 @@ class TestAcceptor:
             for nobs, tables in pairs.items():
                 decide = {alpha: randtest.acceptor(nobs, alpha, statistic) for alpha in BOUNDARY_ALPHAS}
                 for N in tables:
-                    p = p_value(N, nobs)
+                    p, near = p_value(N, nobs), upper_tail_p(N, nobs, statistic)
                     for alpha, accepts in decide.items():
-                        assert accepts(*N.as_tuple()) == (p >= alpha), (statistic, N, nobs, alpha)
+                        check_decision(accepts(*N.as_tuple()), p, near, alpha, (statistic, N, nobs, alpha))
                     if 0 < p < 1:
                         # alpha at the candidate's own p-value: the ceiling and
                         # the >= accept it, anything above rejects it
@@ -384,7 +419,7 @@ def search(nobs, alpha, statistic):
 
 
 def record_decisions(monkeypatch):
-    """(decisions, sums): every search test as (nobs, alpha, cells, accepted), and the tail sums run."""
+    """(decisions, sums): every search test as (nobs, alpha, cells, result), and the tail sums run."""
     decisions, sums = [], []
     make, tail = randtest.acceptor, randtest._tail_weight
 
@@ -392,9 +427,9 @@ def record_decisions(monkeypatch):
         accepts = make(nobs, alpha, statistic)
 
         def decide(*cells):
-            accepted = accepts(*cells)
-            decisions.append((nobs, alpha, cells, accepted))
-            return accepted
+            decided = accepts(*cells)
+            decisions.append((nobs, alpha, cells, decided))
+            return decided
 
         return decide
 
@@ -451,11 +486,12 @@ class TestDecisionKernel:
                 monkeypatch.undo()
                 p_value = P_VALUES[statistic]
                 p_of = {}
-                for nobs, alpha, cells, accepted in decisions:
+                for nobs, alpha, cells, decided in decisions:
                     key = (cells, nobs.tau_hat)  # m and n are the design's
                     if key not in p_of:
-                        p_of[key] = p_value(PotentialTable(*cells), nobs)
-                    assert accepted == (p_of[key] >= alpha), (n, m, statistic, nobs, alpha, cells)
+                        N = PotentialTable(*cells)
+                        p_of[key] = p_value(N, nobs), upper_tail_p(N, nobs, statistic)
+                    check_decision(decided, *p_of[key], alpha, (n, m, statistic, nobs, alpha, cells))
             assert len(sums) < len(decisions), (n, m, statistic)  # the bounds decided some tests
 
     def test_bounds_decide_a_share_of_a_design(self, monkeypatch):
@@ -494,11 +530,31 @@ class TestDecisionKernel:
             with monkeypatch.context() as patch:
                 decisions, sums = record_decisions(patch)
                 first = frontier_scan(nobs, Fraction(1, 20), statistic)
-            assert {accepted for *_, accepted in decisions} == {True, False}, (nobs, statistic)
+            assert {bool(decided) for *_, decided in decisions} == {True, False}, (nobs, statistic)
             assert sums
             with monkeypatch.context() as patch:
                 patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
                 assert frontier_scan(nobs, Fraction(1, 20), statistic) == first, (nobs, statistic)
+
+    def test_upper_tail_is_exact_whatever_the_bounds_hold(self, monkeypatch):
+        # N accepts against both tables, by its upper tail alone only at the
+        # smaller margin; a bound that knows the accept at the larger margin
+        # does not settle which tail accepts at the smaller one
+        N, alpha = PotentialTable(0, 3, 1, 1), Fraction(1, 10)
+        near, far = ObservedTable(1, 0, 1, 3), ObservedTable(1, 0, 0, 4)
+        assert N.tau < near.tau_hat < far.tau_hat
+        assert p_one_sided(N, near) >= alpha > p_one_sided(N, far)
+        assert p_two_sided(N, far) >= alpha
+        for order in ((far, near), (near, far)):
+            randtest._kernel.cache_clear()
+            with monkeypatch.context() as patch:
+                decisions, sums = record_decisions(patch)
+                got = {nobs: randtest.acceptor(nobs, alpha)(*N.as_tuple()) for nobs in order}
+            assert got == {near: randtest.ACCEPT_UPPER, far: randtest.ACCEPT}, order
+            assert len(sums) == 2, order
+            with monkeypatch.context() as patch:
+                patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+                assert {nobs: randtest.acceptor(nobs, alpha)(*N.as_tuple()) for nobs in order} == got
 
     def test_groups_are_keyed_by_need(self):
         # p lies between the two levels: the lower accepts, the higher rejects,
@@ -510,7 +566,7 @@ class TestDecisionKernel:
             for order in ((low, high), (high, low)):
                 randtest._kernel.cache_clear()
                 for alpha in order * 2:
-                    assert randtest.acceptor(nobs, alpha, statistic)(*N.as_tuple()) == (alpha == low), (statistic, alpha)
+                    assert bool(randtest.acceptor(nobs, alpha, statistic)(*N.as_tuple())) == (alpha == low), (statistic, alpha)
 
     def test_newest_group_is_held(self, monkeypatch):
         nobs = ObservedTable(2, 3, 1, 4)
