@@ -130,15 +130,6 @@ def _lower_ends(weights: list[list[int]], alpha: Fraction) -> list[int]:
     return lo
 
 
-def _equal_tail_tables(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Endpoint arrays (lo[x], hi[x]) of the equal-tail inversion for all x.
-
-    hi mirrors lo: P_marked(X <= x) = P_{total-marked}(X >= sample - x).
-    """
-    lo = _lower_ends(_weights(total, sample), alpha)
-    return tuple(lo), tuple(total - a for a in reversed(lo))
-
-
 @lru_cache(maxsize=10_000)
 def _refined_endpoints(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Shrunk endpoint arrays (lo[x], hi[x]) for all x, starting from equal-tail.

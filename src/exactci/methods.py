@@ -23,9 +23,9 @@ decision bounds that `randtest.acceptor` keeps per design, or a frontier
 scan's previous row (see `frontier_scan`), just as a cached scan summary
 counts its scan's tests; so a count, like an interval, depends only on the
 table, the level and the method, never on what ran before. The previous
-row settles rejects and accepts in every scan; an unbalanced two-sided
-scan carries only the accepts whose upper tail alone, the one-sided tail
-below the estimate, reaches the level.
+row settles rejects and accepts in every scan, and carries only the accepts
+whose upper tail alone, the one-sided tail below the estimate, reaches the
+level.
 
 A `frontier_scan` returns its rows of frontiers, one list per N11, and the
 ends of its accepted n*tau. The frontier constructions read each scan
@@ -137,10 +137,10 @@ def frontier_scan(
     stochastic order of the tests: a unit move that raises n*tau by one
     never lowers a one-sided p-value; nor a two-sided one while both tables
     have effect at most the estimate, if m <= n/2 and the move is 11->10 or
-    01->00, or if m = n/2 (any move). The property tests check these orders
-    over every table of small n. Each decision so made is exact and counts
-    as one test, so the frontiers, the ends and the count are those of a
-    walk that tests every candidate. The state the rules read is the
+    01->00. The property tests check these orders over every table of
+    small n. Each decision so made is exact and counts as one test, so the
+    frontiers, the ends and the count are those of a walk that tests every
+    candidate. The state the rules read is the
     previous row of frontiers, prev, and the previous row of seeds; hi is
     the cell's greatest candidate.
     - Carry: the walk starts at the previous cell's frontier. A smaller N10
@@ -162,17 +162,17 @@ def frontier_scan(
       every candidate N10 >= f' of cell (N11, N01) is accepted, since the
       01->11 move takes (N11 - 1, f', N01 + 1) to (N11, f', N01) and 00->10
       moves take that to each larger N10. The walk stops at min(f', hi + 1).
-      A seed is a cell's frontier whose accept these moves carry, and
-      never = n + 1 otherwise (a fallback, and the row before N11 = 0),
-      above hi + 1, so the clip alone makes it accept nothing. In one-sided
-      and balanced two-sided scans every accepted frontier is a seed. In an
-      unbalanced two-sided scan the 00->10 move can lower the two-sided p,
-      so a seed is a frontier that the decision function accepted by its
-      upper tail alone (`randtest.ACCEPT_UPPER`) or that this rule
-      accepted. Below the estimate the upper tail {estimate >= tau +
-      margin} is the one-sided tail {estimate >= observed}, so a seed has
-      one-sided p >= alpha; the one-sided p never falls under the moves,
-      and the two-sided p is at least the one-sided one.
+      A seed is a frontier that the decision function accepted by its
+      upper tail alone (`randtest.ACCEPT_UPPER`, every one-sided accept) or
+      that this rule accepted; otherwise the seed is never = n + 1 (a
+      fallback, an accept that needed the lower tail, and the row before
+      N11 = 0), above hi + 1, so the clip alone makes it accept nothing.
+      One argument serves every design. Below the estimate the upper tail
+      {estimate >= tau + margin} is the one-sided tail {estimate >=
+      observed}, so a seed has one-sided p >= alpha. An 01->11 or 00->10
+      move raises one unit's treated outcome, so it lowers the estimate
+      under no assignment, and the one-sided p never falls. Below the
+      estimate the two-sided p is at least the one-sided one.
     The decisions of these two rules are counted in `FrontierScan.settled`;
     the rest are calls of the decision function. Which frontiers seed
     depends only on exact decisions, never on the decision bounds held.
@@ -190,7 +190,6 @@ def frontier_scan(
     upper_alone = randtest.ACCEPT_UPPER
     floor_nt = math.floor(nobs.tau_hat * n)  # exact: Fraction floor
     n11, n10, n01, n00 = nobs.as_tuple()
-    every_accept_seeds = not two_sided or 2 * m == n
     never = n + 1  # above every candidate
     rows: list[list[int]] = []
     prev = [0] * (n + 1)  # before row 0: rejects nothing
@@ -230,7 +229,7 @@ def frontier_scan(
                 called += 1
                 decided = accepts(N11, N10, N01, avail - N10)
                 if decided:
-                    if every_accept_seeds or decided == upper_alone:
+                    if decided == upper_alone:
                         seed = N10
                     break
                 N10 += 1

@@ -12,8 +12,9 @@ exactly when the tail weight is at least need = ceil(alpha * C(n, m)), so
 `acceptor` computes need and the scaled observed statistic once per search
 and returns `accepts(N11, N10, N01, N00)`, which builds no table and no
 `Fraction`. It returns REJECT (false), ACCEPT_UPPER when the upper tail
-alone reaches need, or ACCEPT when that takes the lower tail too; a
-frontier scan reads the upper tail's share as the one-sided test's.
+alone reaches need, or ACCEPT when that takes the lower tail too; every
+frontier scan, one-sided or two-sided, whatever its design, seeds its
+accept rule from ACCEPT_UPPER alone, the one-sided test below the estimate.
 `p_one_sided` and `p_two_sided` return the exact `Fraction` p-value for the
 public API from the same tail-sum body, `_tail_weight`, run to its end, so
 both paths decide alike.
@@ -142,7 +143,6 @@ def _tail_weight(
     N01: int,
     N00: int,
     m: int,
-    swap: bool,
     upper: int,
     lower: int | None = None,
     stop: int | None = None,
@@ -151,13 +151,13 @@ def _tail_weight(
     """Weight of the splits whose scaled statistic is >= upper or <= lower.
 
     lower=None means an upper tail only; otherwise lower < upper, so the
-    tails are disjoint. swap must be 2*m > n; the caller decides it once per
-    design. The scaled statistic is A*s + B*u - n*m*(N11 + N01), with
-    s = x11 + x10, u = x11 + x01, A = n*(n - m) and B = n*m. When swap is
-    set, the table is summed transposed, (N11, N01, N10, N00), with A and B
-    exchanged: that exchanges s and u and leaves every split's statistic,
-    and so the weight, unchanged. Either way A >= B below. rows, if given,
-    is `_comb_rows(n)`; `acceptor` reads it once per search and passes it.
+    tails are disjoint. The scaled statistic is A*s + B*u - n*m*(N11 + N01),
+    with s = x11 + x10, u = x11 + x01, A = n*(n - m) and B = n*m. When
+    2*m > n, the table is summed transposed, (N11, N01, N10, N00), with A
+    and B exchanged: that exchanges s and u and leaves every split's
+    statistic, and so the weight, unchanged. Either way A >= B below.
+    rows, if given, is `_comb_rows(n)`; `acceptor` reads it once per search
+    and passes it.
 
     One walk sums both tails. The outcome-label mirror (N00, N01, N10, N11)
     negates the scaled statistic under every assignment, so the lower tail
@@ -189,7 +189,7 @@ def _tail_weight(
         # {statistic <= lower} is the mirror's {statistic >= -lower}, and
         # the mirror's statistic plus nm*(N00 + N10) is its A*s + B*u
         lower = nm * (N00 + N10) - lower
-    if swap:
+    if 2 * m > n:
         N10, N01 = N01, N10
         A, B = nm, n * (n - m)
     else:
@@ -280,10 +280,9 @@ def acceptor(
 
     The decision function draws on its group's kernel, group = (n, m, need,
     statistic):
-    - Constants, computed once per search: need, the sums' orientation
-      (swap = 2*m > n), m*(n - m) and the scaled observed statistic; and,
-      once per group, the binomial rows `_comb_rows(n)`, which
-      `_tail_weight` indexes by count.
+    - Constants, computed once per search: need, m*(n - m) and the scaled
+      observed statistic; and, once per group, the binomial rows
+      `_comb_rows(n)`, which `_tail_weight` indexes by count.
     - Exact decision bounds, shared by every search of the group. The key
       is the scaled observed statistic of a one-sided test and the margin
       |obs - m*(n - m)*(N10 - N01)| of a two-sided one. For a fixed table
@@ -308,7 +307,7 @@ def acceptor(
     need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
     rows, upper_held, both_held, rejected_held = _kernel(n, m, need, statistic)
     upper_key, both_keys, rejected_key = upper_held.get, both_held.get, rejected_held.get
-    swap, mm = 2 * m > n, m * (n - m)
+    mm = m * (n - m)
     obs = _scaled_obs(nobs)
     ceiling = 2 * n * mm + 1  # above every key
     floor = -ceiling
@@ -333,7 +332,7 @@ def acceptor(
             both = both_keys(cell)
             if both is not None and both[0] <= key <= both[1]:
                 return ACCEPT
-        weight = _tail_weight(N11, N10, N01, N00, m, swap, upper, lower, need, rows)
+        weight = _tail_weight(N11, N10, N01, N00, m, upper, lower, need, rows)
         if weight >= need:
             upper_held[cell] = key
             return ACCEPT_UPPER
@@ -351,7 +350,7 @@ def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     _check_pair(N, nobs)
     _guard(N.n)
     n, m = N.n, nobs.m
-    weight = _tail_weight(*N.as_tuple(), m, 2 * m > n, _scaled_obs(nobs))
+    weight = _tail_weight(*N.as_tuple(), m, _scaled_obs(nobs))
     return Fraction(weight, comb(n, m))
 
 
@@ -368,5 +367,5 @@ def p_two_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:
     margin = abs(_scaled_obs(nobs) - t_tau)
     if margin == 0:
         return Fraction(1)
-    weight = _tail_weight(*N.as_tuple(), m, 2 * m > n, t_tau + margin, t_tau - margin)
+    weight = _tail_weight(*N.as_tuple(), m, t_tau + margin, t_tau - margin)
     return Fraction(weight, comb(n, m))

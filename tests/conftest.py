@@ -112,9 +112,9 @@ class TableMove:
     subset for which two-sided p-value monotonicity holds in unbalanced
     designs. The others can lower the two-sided p there: the 00->10 move
     takes N = (1, 1, 0, 1) to (1, 2, 0, 0) and p from 2/3 to 1/3 against the
-    observed (1, 0, 0, 2). So an unbalanced two-sided frontier scan seeds its
-    accept rule (01->11, then 00->10) only from accepts whose upper tail, the
-    one-sided tail below the estimate, reaches alpha alone.
+    observed (1, 0, 0, 2). So every frontier scan, whatever its design, seeds
+    its accept rule (01->11, then 00->10) only from accepts whose upper tail,
+    the one-sided tail below the estimate, reaches alpha alone.
     """
 
     delta: tuple[int, int, int, int]

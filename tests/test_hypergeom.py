@@ -3,8 +3,9 @@
 `HyperGeomSpec`, `pmf`, `tail_ge` and `tail_le` are exact reference
 hypergeometric probabilities; the package itself only compares tail sums on
 cleared denominators. The equal-tail interval, the shrink's starting point,
-is read from `hypergeom._equal_tail_tables`, and both tables are compared
-with the two-array reference in `oracle`.
+is read from the package's lower ends, `hypergeom._lower_ends`, with the
+upper ends mirrored as the package mirrors them (`equal_tail_tables`), and
+both tables are compared with the two-array reference in `oracle`.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from math import comb
 import pytest
 
 from exactci import InvalidLevel, ObservedTable, ci_count, randtest
-from exactci.hypergeom import _check_alpha, _equal_tail_tables, _refined_endpoints
+from exactci.hypergeom import _check_alpha, _lower_ends, _refined_endpoints, _weights
 
 from oracle import reference_equal_tail_tables, reference_refined_endpoints
 
@@ -84,9 +85,19 @@ def tail_le(spec: HyperGeomSpec, x: int) -> Fraction:
     return Fraction(num, comb(spec.total, spec.sample))
 
 
+def equal_tail_tables(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Endpoint arrays (lo[x], hi[x]) of the equal-tail inversion for all x.
+
+    lo is the package's `_lower_ends`; hi mirrors it as `_refined_endpoints`
+    does: P_marked(X <= x) = P_{total-marked}(X >= sample - x).
+    """
+    lo = _lower_ends(_weights(total, sample), alpha)
+    return tuple(lo), tuple(total - a for a in reversed(lo))
+
+
 def equal_tail(total: int, sample: int, x: int, alpha: Fraction) -> tuple[int, int]:
     """The equal-tail interval: every marked count with both tails above alpha/2."""
-    los, his = _equal_tail_tables(total, sample, alpha)
+    los, his = equal_tail_tables(total, sample, alpha)
     return los[x], his[x]
 
 
@@ -200,7 +211,7 @@ class TestCiCount:
             for sample in range(total + 1):
                 for alpha in METHOD_ALPHAS:
                     key = (total, sample, alpha)
-                    assert _equal_tail_tables(*key) == reference_equal_tail_tables(*key), key
+                    assert equal_tail_tables(*key) == reference_equal_tail_tables(*key), key
                     assert _refined_endpoints(*key) == reference_refined_endpoints(*key), key
 
     def test_returns_the_shrunk_interval(self):

@@ -123,8 +123,8 @@ class TestReferenceScan:
         assert unbalanced and 0 < empty < checked
 
     def test_random_balanced_two_sided_n14_to_40(self, monkeypatch):
-        # m = n/2 is the one two-sided design where the accept rule applies,
-        # and the random tables above rarely draw it
+        # the random tables above rarely draw m = n/2, the one design where
+        # the two-sided p below the estimate is twice the one-sided p
         calls = count_calls(monkeypatch, "two_sided")
         rng = random.Random(2016)
         deadline = time.monotonic() + 3.0

@@ -46,8 +46,8 @@ def test_p2_monotone_under_all_moves_balanced(n):
 
 def test_00_to_10_move_can_lower_p2_not_p1():
     # m = 1 < n/2, both tables below the estimate: the 00->10 move, a cell's
-    # walk up N10, lowers the two-sided p, so a two-sided accept cannot seed
-    # the accept rule of an unbalanced scan; the one-sided p, the weight of
+    # walk up N10, lowers the two-sided p, so an accept that needs the lower
+    # tail cannot seed a scan's accept rule; the one-sided p, the weight of
     # the upper tail alone, does not fall, so an upper-tail accept can
     nobs = ObservedTable(1, 0, 0, 2)
     N, moved = PotentialTable(1, 1, 0, 1), PotentialTable(1, 2, 0, 0)

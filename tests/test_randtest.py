@@ -179,6 +179,31 @@ class TestDecisionPaths:
             assert p_both(N, nobs) == definitional_p(N, nobs), (N, nobs)
             checked += 1
 
+    def test_balanced_two_sided_doubles_one_sided_up_to_n10(self):
+        # m = n/2: the complement of a treatment group is one too, and
+        # est(1 - Z) = 2*tau - est(Z), so below the estimate the lower tail
+        # weighs what the upper one does; the mirror walk's sum against the
+        # upper tail's alone, on every pair with even n <= 10
+        checked = 0
+        for n in range(2, 11, 2):
+            tables = [nobs for nobs in observed_tables(n) if 2 * nobs.m == n]
+            for N, nobs in itertools.product(potential_tables(n), tables):
+                if N.tau < nobs.tau_hat:
+                    assert p_two_sided(N, nobs) == 2 * p_one_sided(N, nobs), (N, nobs)
+                    checked += 1
+        assert checked == 7469
+
+    def test_balanced_two_sided_doubles_one_sided_random_n12_to_60(self):
+        rng = random.Random(20152)
+        deadline = time.monotonic() + 2.0
+        checked = 0
+        while checked < 40 or time.monotonic() < deadline:
+            n = 2 * rng.randint(6, 30)
+            N, nobs = random_pair(rng, n, n // 2)
+            if N.tau < nobs.tau_hat:
+                assert p_two_sided(N, nobs) == 2 * p_one_sided(N, nobs), (N, nobs)
+                checked += 1
+
     def test_extreme_arms(self):
         rng = random.Random(7)
         for n in (11, 25, 60):
@@ -230,7 +255,7 @@ class TestTailWeight:
         # observed table contributes to a sum), at every atom as a threshold
         for n in range(2, 10):
             for N, m in itertools.product(potential_tables(n), range(1, n)):
-                cells, swap = N.as_tuple(), 2 * m > n
+                cells = N.as_tuple()
                 atoms = randtest._scaled_atoms(cells, m)
                 values = [v for v, _ in atoms]
                 beyond = values[-1] + 1  # no split reaches it
@@ -241,13 +266,13 @@ class TestTailWeight:
                 cases += [(values[-1 - i], values[i]) for i in range(len(values) // 2)]
                 for upper, lower in cases:
                     expect = sum(w for v, w in atoms if v >= upper or (lower is not None and v <= lower))
-                    full = randtest._tail_weight(*cells, m, swap, upper, lower)
+                    full = randtest._tail_weight(*cells, m, upper, lower)
                     assert full == expect, (cells, m, upper, lower)
                     near = sum(w for v, w in atoms if v >= upper)
                     for stop in {1, full // 2, full, full + 1} - {0}:  # need is at least 1
                         # a stopped sum tells which tail reached stop: the
                         # upper one alone (>= stop), or both (<= -stop)
-                        early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
+                        early = randtest._tail_weight(*cells, m, upper, lower, stop)
                         key = (cells, m, upper, lower, stop)
                         assert (early >= stop) == (near >= stop), key
                         assert (early <= -stop) == (near < stop <= full), key
@@ -290,7 +315,7 @@ class TestTailWeight:
                              for i, w in enumerate(itertools.accumulate(slices)) if w >= stop),
                             full,
                         )
-                        early = randtest._tail_weight(*cells, m, swap, upper, lower, stop)
+                        early = randtest._tail_weight(*cells, m, upper, lower, stop)
                         assert early == expect, (cells, m, upper, lower, stop)
 
 
@@ -321,7 +346,7 @@ def upper_tail_p(N, nobs, statistic):
         return None
     n, m = N.n, nobs.m
     upper = 2 * m * (n - m) * (N.N10 - N.N01) - randtest._scaled_obs(nobs)
-    return Fraction(randtest._tail_weight(*N.as_tuple(), m, 2 * m > n, upper), comb(n, m))
+    return Fraction(randtest._tail_weight(*N.as_tuple(), m, upper), comb(n, m))
 
 
 def check_decision(decided, p, near, alpha, key):
