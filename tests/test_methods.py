@@ -117,7 +117,7 @@ class TestRowRules:
         # the Fraction p-value, which no decision function computes
         calls = {s: count_calls(monkeypatch, s) for s in ("one_sided", "two_sided")}
         p_value = {"one_sided": p_one_sided, "two_sided": p_two_sided}
-        rejects = accepts = balanced_accepts = 0
+        rejects = accepts = balanced_accepts = unbalanced_accepts = 0
         for n in range(2, 11):
             for nobs in observed_tables(n):
                 balanced = 2 * nobs.m == n
@@ -140,9 +140,10 @@ class TestRowRules:
                                 # every scan seeds from upper tails alone: the one-sided p carries the accept
                                 assert p_one_sided(N, nobs) >= alpha, (key, cells)
                                 balanced_accepts += statistic == "two_sided" and balanced
+                                unbalanced_accepts += statistic == "two_sided" and not balanced
                             accepts += accepted
                             rejects += not accepted
-        assert accepts and rejects and balanced_accepts
+        assert accepts and rejects and balanced_accepts and unbalanced_accepts
 
 
 class TestOneSided:
