@@ -21,11 +21,12 @@ product. Otherwise, with (x11, x10) fixed, n01 is affine in x01, so a run is
 one x01 range, and its weight is one difference of prefix sums of
 C(N01, x01) * C(N00, r2 - x01) over x01. Those prefix sums are the rows of
 `hypergeom._at_most`, which the randomization tests read too; they depend
-only on (N01, N00, r2), so they are built once for all the true tables and
-tests that share them, and only such partial (true table, n11) pairs read
-them. A true table thus costs at most O(n^2 * runs) lookups instead of
-O(n^3) splits. No monotonicity of the method is assumed: where coverage is
-not contiguous in n01, there are simply more runs.
+only on (N01, N00, r2), so they are built once for all the true tables,
+tests and designs that share them while the cache stays under its byte
+budget, and only such partial (true table, n11) pairs read them. A true
+table thus costs at most O(n^2 * runs) lookups instead of O(n^3) splits.
+No monotonicity of the method is assumed: where coverage is not contiguous
+in n01, there are simply more runs.
 
 Most methods are mirror-equivariant: the interval of switch_y(X) is -(the
 interval of X) for every observed X. The sweep checks this on the runs,

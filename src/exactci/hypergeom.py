@@ -20,7 +20,11 @@ of the six example tables exactly.
 
 `_comb_row` holds the binomial coefficients that this module, `randtest` and
 `coverage` read, and `_at_most` the prefix rows that `randtest` and
-`coverage` share. `_guard` is the size guard of every exact computation:
+`coverage` share. The rows depend on three counts, not on a design, so
+`_at_most` keeps every row it builds until an upper estimate of the bytes
+they hold would pass `_ROW_BUDGET`, 83 MB, and then starts over empty: a
+process below that budget builds each row once, whatever designs it
+computes. `_guard` is the size guard of every exact computation:
 `ci_count` checks it before building endpoint tables, and `randtest` and the
 methods before any randomization test.
 """
@@ -28,6 +32,7 @@ methods before any randomization test.
 from __future__ import annotations
 
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -65,19 +70,58 @@ def _comb_row(c: int) -> tuple[int, ...]:
     return tuple(comb(c, k) for k in range(c + 1))
 
 
-@lru_cache(maxsize=1 << 13)
+#: Upper estimate, in bytes, of the prefix rows `_at_most` may hold: at
+#: least 7,400 rows of the largest at the default size guard, n = 300.
+_ROW_BUDGET = 83_000_000
+#: Allowance per row for its cache key, a tuple of three ints, and its dict slot.
+_KEY_BYTES = 256
+_held_bytes = 0  # the estimate of the rows `_at_most` holds
+
+
+def _row_bytes(row: tuple[int, ...]) -> int:
+    """Upper estimate of the bytes a cached prefix row holds.
+
+    The tuple, every entry sized like the last, which is the largest since
+    the entries are nondecreasing, and `_KEY_BYTES`.
+    """
+    return sys.getsizeof(row) + len(row) * sys.getsizeof(row[-1]) + _KEY_BYTES
+
+
+@lru_cache(maxsize=None)
 def _at_most(N01: int, N00: int, r2: int) -> tuple[int, ...]:
     """row[j]: ways to draw r2 of the N01 + N00 units with at most j of the N01.
 
     The prefix sums over x01 of C(N01, x01) * C(N00, r2 - x01) for
     j = 0..min(N01, r2); the last entry is C(N01 + N00, r2) when
     r2 <= N01 + N00. Entries below r2 - N00 are zero.
+
+    The cache is bounded by bytes, not rows, and a hit runs no Python code.
+    Each build adds its `_row_bytes` to `_held_bytes`; a row that would take
+    the sum past `_ROW_BUDGET` first empties the cache, with its hit and
+    miss counts, as `_at_most.cache_clear()` does.
     """
+    global _held_bytes
     c01 = _comb_row(N01)[: r2 + 1]
     lo = max(0, r2 - N00)  # fewer N01 units leave more than N00 to draw
     # x01 = lo, lo + 1, ... pairs with x00 = r2 - lo, r2 - lo - 1, ...
     terms = map(mul, c01[lo:], _comb_row(N00)[r2 - lo :: -1])
-    return (0,) * min(lo, len(c01)) + tuple(accumulate(terms))
+    row = (0,) * min(lo, len(c01)) + tuple(accumulate(terms))
+    size = _row_bytes(row)
+    if _held_bytes + size > _ROW_BUDGET:
+        _at_most.cache_clear()
+    _held_bytes += size
+    return row
+
+
+def _clear_rows() -> None:
+    """Empty `_at_most` and zero its byte estimate, so none goes stale."""
+    global _held_bytes
+    _held_bytes = 0
+    _clear_row_cache()
+
+
+# Every clear, the budget's or a caller's, goes through `_clear_rows`.
+_clear_row_cache, _at_most.cache_clear = _at_most.cache_clear, _clear_rows
 
 
 def _check_alpha(alpha: Fraction | float) -> Fraction:

@@ -55,11 +55,13 @@ u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
   since the weight only grows. The public p-values pass no stop.
 
 The prefix rows depend only on (N01, N00, r2) of the table or its mirror,
-so the neighbouring tables of a frontier scan, the repeated tests of a batch
-over one design and the weighing of a coverage sweep share them. `_at_most`
-is an `lru_cache` of 8,192 rows. A row holds min(N01, r2) + 1 integers below
-2**n; at the default size guard, n = 300, the largest row takes about 10 KB,
-so the cache holds at most about 83 MB.
+so the neighbouring tables of a frontier scan, the CIs of one process over
+many designs and the weighing of a coverage sweep share them. `_at_most` is
+an `lru_cache` bounded by an upper estimate of its bytes, 83 MB, not by a
+row count, so a process below that builds each row once. A row holds
+min(N01, r2) + 1 integers below 2**n; at the default size guard, n = 300,
+the largest row is estimated at about 11 KB, so the budget holds at least
+7,400 rows.
 
 `null_dist` is the definitional reference. It reads the whole null
 distribution off `_scaled_atoms`, which enumerates every split once (O(n^3)

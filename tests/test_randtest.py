@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -17,13 +19,14 @@ from exactci import (
     ScaleGuard,
     SizeMismatch,
     ci_brute_force,
+    ci_two_sided_frontier,
     frontier_scan,
     p_one_sided,
     p_two_sided,
 )
-from exactci import randtest
+from exactci import hypergeom, randtest
 from exactci.randtest import null_dist
-from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, max_exact_n
+from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, _comb_row, max_exact_n
 from exactci.methods import FrontierScan
 
 from conftest import count_calls, observed_tables, potential_tables
@@ -52,6 +55,11 @@ def p_both(N, nobs):
     one, two = p_one_sided(N, nobs), p_two_sided(N, nobs)
     assert atoms_reads() == reads
     return one, two
+
+
+def prefix_sums(N01, N00, r2):
+    """The prefix sums over x01 of C(N01, x01) * C(N00, r2 - x01), as `_at_most` defines them."""
+    return list(itertools.accumulate(comb(N01, x01) * comb(N00, r2 - x01) for x01 in range(min(N01, r2) + 1)))
 
 
 def random_pair(rng, n, m=None):
@@ -223,12 +231,11 @@ class TestDecisionPaths:
             assert N.tau == nobs.tau_hat
             assert p_both(N, nobs)[1] == definitional_p(N, nobs)[1] == 1
 
-    def test_prefix_rows(self):
+    def test_prefix_rows(self, monkeypatch):
         # the rows hold their definitional sums
         for N01, N00 in itertools.product(range(13), repeat=2):
             for r2 in range(N01 + N00 + 1):
-                terms = [comb(N01, x01) * comb(N00, r2 - x01) for x01 in range(min(N01, r2) + 1)]
-                assert list(_at_most(N01, N00, r2)) == list(itertools.accumulate(terms))
+                assert list(_at_most(N01, N00, r2)) == prefix_sums(N01, N00, r2)
                 assert _at_most(N01, N00, r2)[-1] == comb(N01 + N00, r2)
         # a cold and a warm cache give the same p-values
         rng = random.Random(11)
@@ -238,12 +245,96 @@ class TestDecisionPaths:
         hits = _at_most.cache_info().hits
         assert [p_both(N, nobs) for N, nobs in pairs] == cold
         assert _at_most.cache_info().hits > hits
-        # the cache keeps at most its bound of rows
-        bound = _at_most.cache_info().maxsize
-        assert bound is not None
-        for key in itertools.islice(itertools.product(range(40), range(40), range(40)), bound + 1):
-            _at_most(*key)
-        assert _at_most.cache_info().currsize == bound
+        # the cache keeps rows up to a byte budget: past it a build empties
+        # the cache first, the held estimate never passes the budget and is
+        # the sum of the held rows' estimates, and a row read after a drop
+        # still holds its definitional sums
+        budget = 60_000
+        monkeypatch.setattr(hypergeom, "_ROW_BUDGET", budget)
+        _at_most.cache_clear()
+        keys = list(itertools.product(range(0, 40, 3), repeat=3)) * 2
+        random.Random(24).shuffle(keys)
+        held, drops = {}, 0
+        for key in keys:
+            size = _at_most.cache_info().currsize
+            row = _at_most(*key)
+            if key in held:
+                assert _at_most.cache_info().currsize == size
+            elif _at_most.cache_info().currsize == size + 1:
+                held[key] = row
+            else:
+                assert _at_most.cache_info().currsize == 1
+                held, drops = {key: row}, drops + 1
+            assert hypergeom._held_bytes == sum(map(hypergeom._row_bytes, held.values())) <= budget
+            assert list(row) == prefix_sums(*key), key
+        assert drops > 5
+        # an outside clear leaves no stale byte count
+        _at_most.cache_clear()
+        assert hypergeom._held_bytes == 0
+        row = _at_most(7, 9, 8)
+        assert hypergeom._held_bytes == hypergeom._row_bytes(row)
+        _at_most.cache_clear()
+
+
+class TestPrefixRowBudget:
+    """`_at_most` is bounded by an upper estimate of its bytes, not by a row count."""
+
+    def test_estimate_bounds_a_row_and_its_key(self):
+        # README's memory bound rests on this: the estimate covers the tuple,
+        # every entry that is not one of the interpreter's shared small ints,
+        # and the key (N01, N00, r2); the rest of the allowance is the slot
+        def small(x):
+            return -5 <= x <= 256
+
+        rng = random.Random(24)
+        for total in (20, 100, 300):
+            keys = [(total // 2, total - total // 2, total // 2), (total, 0, 0), (0, total, 0)]
+            for _ in range(200):
+                N01 = rng.randint(0, total)
+                keys.append((N01, total - N01, rng.randint(0, total)))
+            for key in keys:
+                row = _at_most(*key)
+                held = sys.getsizeof(row) + sum(sys.getsizeof(x) for x in row if not small(x))
+                held += sys.getsizeof(key) + sum(sys.getsizeof(x) for x in key if not small(x))
+                assert hypergeom._row_bytes(row) >= held, key
+        _at_most.cache_clear()
+
+    def test_small_rows_stay_within_the_budget(self, monkeypatch):
+        # rows of one entry at n = 300 weigh least against their keys and
+        # slots: filled up to its budget with them, the cache allocates no
+        # more than its estimate
+        budget = 1 << 20
+        monkeypatch.setattr(hypergeom, "_ROW_BUDGET", budget)
+        _at_most.cache_clear()
+        for c in range(300):
+            _comb_row(c)  # the binomial rows are cached apart, outside the budget
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for N01, N00 in itertools.product(range(150, 300), repeat=2):
+                if hypergeom._held_bytes + 1000 > budget:
+                    break
+                _at_most(N01 + 0, N00 + 0, 0)  # + 0: keys of new ints, as a caller makes them
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _at_most.cache_info().misses == _at_most.cache_info().currsize > 3000
+        assert grown <= hypergeom._held_bytes <= budget
+        _at_most.cache_clear()
+
+    def test_rows_built_once_across_designs(self):
+        # two-sided CIs for the eight designs of each n = 40..48 (m = n/16
+        # ... 8n/16), in ascending n, share their rows: no row is built twice
+        rng = random.Random(24)
+        _at_most.cache_clear()
+        for n in range(40, 49):
+            for k in range(1, 9):
+                m = n * k // 16
+                n11, n01 = rng.randint(0, m), rng.randint(0, n - m)
+                ci_two_sided_frontier(ObservedTable(n11, m - n11, n01, n - m - n01), Fraction(1, 20))
+        info = _at_most.cache_info()
+        assert info.misses == info.currsize > 0 and info.hits > 0
+        assert hypergeom._held_bytes <= hypergeom._ROW_BUDGET
         _at_most.cache_clear()
 
 
