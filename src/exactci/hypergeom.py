@@ -76,6 +76,7 @@ _ROW_BUDGET = 83_000_000
 #: Allowance per row for its cache key, a tuple of three ints, and its dict slot.
 _KEY_BYTES = 256
 _held_bytes = 0  # the estimate of the rows `_at_most` holds
+_rows_built = 0  # the rows `_at_most` has built since a caller last cleared it
 
 
 def _row_bytes(row: tuple[int, ...]) -> int:
@@ -98,9 +99,10 @@ def _at_most(N01: int, N00: int, r2: int) -> tuple[int, ...]:
     The cache is bounded by bytes, not rows, and a hit runs no Python code.
     Each build adds its `_row_bytes` to `_held_bytes`; a row that would take
     the sum past `_ROW_BUDGET` first empties the cache, with its hit and
-    miss counts, as `_at_most.cache_clear()` does.
+    miss counts. `_rows_built` counts the builds across such drops; only a
+    caller's `_at_most.cache_clear()` zeroes it.
     """
-    global _held_bytes
+    global _held_bytes, _rows_built
     c01 = _comb_row(N01)[: r2 + 1]
     lo = max(0, r2 - N00)  # fewer N01 units leave more than N00 to draw
     # x01 = lo, lo + 1, ... pairs with x00 = r2 - lo, r2 - lo - 1, ...
@@ -108,19 +110,21 @@ def _at_most(N01: int, N00: int, r2: int) -> tuple[int, ...]:
     row = (0,) * min(lo, len(c01)) + tuple(accumulate(terms))
     size = _row_bytes(row)
     if _held_bytes + size > _ROW_BUDGET:
-        _at_most.cache_clear()
+        _clear_row_cache()
+        _held_bytes = 0
     _held_bytes += size
+    _rows_built += 1
     return row
 
 
 def _clear_rows() -> None:
-    """Empty `_at_most` and zero its byte estimate, so none goes stale."""
-    global _held_bytes
-    _held_bytes = 0
+    """Empty `_at_most` and zero its byte estimate and build count, so none goes stale."""
+    global _held_bytes, _rows_built
+    _held_bytes = _rows_built = 0
     _clear_row_cache()
 
 
-# Every clear, the budget's or a caller's, goes through `_clear_rows`.
+# A caller's clear goes through `_clear_rows`.
 _clear_row_cache, _at_most.cache_clear = _at_most.cache_clear, _clear_rows
 
 

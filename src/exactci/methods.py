@@ -19,13 +19,13 @@ needs for that table (one test = one accept/reject decision for one
 candidate table; frontier fallback assignments count zero). A table that is its own
 outcome-label mirror needs one frontier scan for both sides, so it counts one.
 A test counts as one whether a tail sum decides it, or one of the exact
-decision bounds that `randtest.acceptor` keeps per design, or a frontier
-scan's previous row (see `frontier_scan`), just as a cached scan summary
-counts its scan's tests; so a count, like an interval, depends only on the
-table, the level and the method, never on what ran before. The previous
-row settles rejects and accepts in every scan, and carries only the accepts
-whose upper tail alone, the one-sided tail below the estimate, reaches the
-level.
+decision bounds that `randtest.acceptor` keeps per one-sided design, or a
+frontier scan's previous row (see `frontier_scan`), just as a cached scan
+summary counts its scan's tests; so a count, like an interval, depends only
+on the table, the level and the method, never on what ran before. The
+previous row settles rejects and accepts in every scan, and carries only the
+accepts whose upper tail alone, the one-sided tail below the estimate,
+reaches the level.
 
 A `frontier_scan` returns its rows of frontiers, one list per N11, and the
 ends of its accepted n*tau. The frontier constructions read each scan

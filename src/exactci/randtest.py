@@ -23,11 +23,12 @@ Every search of one group (n, m, need, statistic) draws its decisions from
 that group's decision kernel (see `acceptor`): constants hoisted out of the
 tests, among them the binomial rows of every count up to n as one tuple
 (`_comb_rows`), so a test makes no `_comb_row` call and calls `_tail_weight`
-directly; and exact decision bounds, so that a test already settled by an
-earlier decision on the same table runs no sum. The tail weight never increases
-as the observed statistic (one-sided) or the margin |obs - tau| (two-sided)
-grows, which makes the bounds exact. One kernel is held, the newest group's
-(`_kernel`); a coverage sweep or a frontier CI uses one group.
+directly; and, for a one-sided group, exact decision bounds, so that a test
+already settled by an earlier decision on the same table runs no sum (the
+one-sided tail weight never increases as the observed statistic grows). A
+two-sided test with a nonzero margin always runs its sum. One kernel is
+held, the newest group's (`_kernel`); a coverage sweep or a frontier CI
+uses one group.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
@@ -251,14 +252,15 @@ REJECT, ACCEPT, ACCEPT_UPPER = 0, 1, 2
 
 
 @lru_cache(maxsize=1)
-def _kernel(n: int, m: int, need: int, statistic: str) -> tuple[tuple[tuple[int, ...], ...], dict, dict, dict]:
-    """The newest group's kernel: (`_comb_rows(n)`, upper, both, rejected).
+def _kernel(n: int, m: int, need: int, statistic: str) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
+    """The newest group's kernel: (`_comb_rows(n)`, upper, rejected).
 
-    They map a tested table (N11, N10, N01) to the largest key decided
-    ACCEPT_UPPER, to the least and greatest key decided ACCEPT (a pair), and
-    to the least key decided REJECT. A new group starts them empty.
+    For a one-sided group they map a tested table (N11, N10, N01) to the
+    largest scaled observed statistic decided ACCEPT_UPPER and to the least
+    decided REJECT; a two-sided group leaves them empty. A new group starts
+    them empty.
     """
-    return _comb_rows(n), {}, {}, {}
+    return _comb_rows(n), {}, {}
 
 
 def acceptor(
@@ -285,18 +287,16 @@ def acceptor(
     - Constants, computed once per search: need, m*(n - m) and the scaled
       observed statistic; and, once per group, the binomial rows
       `_comb_rows(n)`, which `_tail_weight` indexes by count.
-    - Exact decision bounds, shared by every search of the group. The key
-      is the scaled observed statistic of a one-sided test and the margin
-      |obs - m*(n - m)*(N10 - N01)| of a two-sided one. For a fixed table
-      and m, the upper tail and both tails together only shrink as the key
-      grows, so as the key grows a table's result steps down from
-      ACCEPT_UPPER to ACCEPT to REJECT. For each tested table the kernel
-      holds the largest key seen ACCEPT_UPPER, the least and greatest seen
-      ACCEPT and the least seen REJECT, and a key that they place decides
-      without a sum. Only a key that they do not place is summed, and its
-      result tightens them. Keying the group by need, not alpha, keeps every
-      decision weight >= need, so the bounds decide exactly as the sums
-      would, and no result depends on what the bounds hold.
+    - For a one-sided group, exact decision bounds, shared by every search
+      of the group. For a fixed table and m, the upper tail only shrinks as
+      the observed statistic grows, so for each tested table the kernel
+      holds the largest statistic seen accepted and the least seen
+      rejected, and a statistic that they place decides without a sum. Only
+      a statistic that they do not place is summed, and its result tightens
+      them. Keying the group by need, not alpha, keeps every decision
+      weight >= need, so the bounds decide exactly as the sums would, and
+      no result depends on what the bounds hold. A two-sided test holds no
+      bounds: every test with a nonzero margin runs its sum.
     One kernel is held, the newest group's (`_kernel`): a coverage sweep or
     a frontier CI uses one group, and a search of another group starts that
     group's rows and bounds anew. The kernel is read only after the checks.
@@ -307,41 +307,31 @@ def acceptor(
     if statistic not in ("one_sided", "two_sided"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
     need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
-    rows, upper_held, both_held, rejected_held = _kernel(n, m, need, statistic)
-    upper_key, both_keys, rejected_key = upper_held.get, both_held.get, rejected_held.get
+    rows, upper_held, rejected_held = _kernel(n, m, need, statistic)
+    upper_key, rejected_key = upper_held.get, rejected_held.get
     mm = m * (n - m)
     obs = _scaled_obs(nobs)
-    ceiling = 2 * n * mm + 1  # above every key
+    ceiling = n * mm + 1  # above every scaled observed statistic
     floor = -ceiling
     two_sided = statistic == "two_sided"
 
     def accepts(N11: int, N10: int, N01: int, N00: int) -> int:
         if two_sided:
             t_tau = mm * (N10 - N01)  # tau on the same cleared-denominator scale
-            key = obs - t_tau if obs > t_tau else t_tau - obs
-            if not key:
+            margin = obs - t_tau if obs > t_tau else t_tau - obs
+            if not margin:
                 return ACCEPT  # p = 1; the two tails would overlap
-            upper, lower = t_tau + key, t_tau - key
-        else:
-            key = upper = obs
-            lower = None
+            weight = _tail_weight(N11, N10, N01, N00, m, t_tau + margin, t_tau - margin, need, rows)
+            return ACCEPT_UPPER if weight >= need else ACCEPT if weight < 0 else REJECT
         cell = N11, N10, N01
-        if key <= upper_key(cell, floor):
+        if obs <= upper_key(cell, floor):
             return ACCEPT_UPPER
-        if key >= rejected_key(cell, ceiling):
+        if obs >= rejected_key(cell, ceiling):
             return REJECT
-        if two_sided:  # a one-sided test has no lower tail, so no ACCEPT
-            both = both_keys(cell)
-            if both is not None and both[0] <= key <= both[1]:
-                return ACCEPT
-        weight = _tail_weight(N11, N10, N01, N00, m, upper, lower, need, rows)
-        if weight >= need:
-            upper_held[cell] = key
+        if _tail_weight(N11, N10, N01, N00, m, obs, None, need, rows) >= need:
+            upper_held[cell] = obs
             return ACCEPT_UPPER
-        if weight < 0:
-            both_held[cell] = (key, key) if both is None else (min(key, both[0]), max(key, both[1]))
-            return ACCEPT
-        rejected_held[cell] = key
+        rejected_held[cell] = obs
         return REJECT
 
     return accepts

@@ -247,16 +247,18 @@ class TestDecisionPaths:
         assert _at_most.cache_info().hits > hits
         # the cache keeps rows up to a byte budget: past it a build empties
         # the cache first, the held estimate never passes the budget and is
-        # the sum of the held rows' estimates, and a row read after a drop
-        # still holds its definitional sums
+        # the sum of the held rows' estimates, a row read after a drop still
+        # holds its definitional sums, and the build count, which the drops
+        # do not reset, counts every row not read from the cache
         budget = 60_000
         monkeypatch.setattr(hypergeom, "_ROW_BUDGET", budget)
         _at_most.cache_clear()
         keys = list(itertools.product(range(0, 40, 3), repeat=3)) * 2
         random.Random(24).shuffle(keys)
-        held, drops = {}, 0
+        held, drops, built = {}, 0, 0
         for key in keys:
             size = _at_most.cache_info().currsize
+            built += key not in held
             row = _at_most(*key)
             if key in held:
                 assert _at_most.cache_info().currsize == size
@@ -266,11 +268,12 @@ class TestDecisionPaths:
                 assert _at_most.cache_info().currsize == 1
                 held, drops = {key: row}, drops + 1
             assert hypergeom._held_bytes == sum(map(hypergeom._row_bytes, held.values())) <= budget
+            assert hypergeom._rows_built == built, key
             assert list(row) == prefix_sums(*key), key
-        assert drops > 5
-        # an outside clear leaves no stale byte count
+        assert drops > 5 and _at_most.cache_info().misses < built
+        # an outside clear leaves no stale byte count or build count
         _at_most.cache_clear()
-        assert hypergeom._held_bytes == 0
+        assert hypergeom._held_bytes == hypergeom._rows_built == 0
         row = _at_most(7, 9, 8)
         assert hypergeom._held_bytes == hypergeom._row_bytes(row)
         _at_most.cache_clear()
@@ -600,6 +603,10 @@ class TestDecisionKernel:
                     if len(decisions) > 3000:
                         break
                 monkeypatch.undo()
+                if statistic == "two_sided":
+                    # no bounds: every decision with a nonzero margin ran one sum
+                    summed = [cells for nobs, _, cells, _ in decisions if PotentialTable(*cells).tau != nobs.tau_hat]
+                    assert sums == summed, (n, m, statistic)
                 p_value = P_VALUES[statistic]
                 p_of = {}
                 for nobs, alpha, cells, decided in decisions:
@@ -608,15 +615,15 @@ class TestDecisionKernel:
                         N = PotentialTable(*cells)
                         p_of[key] = p_value(N, nobs), upper_tail_p(N, nobs, statistic)
                     check_decision(decided, *p_of[key], alpha, (n, m, statistic, nobs, alpha, cells))
-            assert len(sums) < len(decisions), (n, m, statistic)  # the bounds decided some tests
+            if statistic == "one_sided":
+                assert len(sums) < len(decisions), (n, m, statistic)  # the bounds decided some tests
 
     def test_bounds_decide_a_share_of_a_design(self, monkeypatch):
-        # a design's scans settle most of their tests by bounds, not sums
+        # a design's one-sided scans settle most of their tests by bounds, not sums
         decisions, sums = record_decisions(monkeypatch)
         randtest._kernel.cache_clear()
-        for statistic in ("one_sided", "two_sided"):
-            for nobs in design_tables(12, 6):
-                frontier_scan(nobs, Fraction(1, 20), statistic)
+        for nobs in design_tables(12, 6):
+            frontier_scan(nobs, Fraction(1, 20), "one_sided")
         assert 2 * len(sums) < len(decisions)
 
     def test_scan_does_not_depend_on_held_bounds(self):
@@ -636,7 +643,9 @@ class TestDecisionKernel:
             assert warm.tests == cold.tests > 0
 
     def test_repeated_scan_needs_no_sum(self, monkeypatch):
-        # a key equal to a bound is decided by that bound, accepted or rejected
+        # a one-sided statistic equal to a bound is decided by that bound,
+        # accepted or rejected; a two-sided scan holds no bounds, so its
+        # repeat runs every sum again
         for nobs, statistic in (
             (ObservedTable(3, 4, 6, 3), "two_sided"),
             (ObservedTable(5, 2, 1, 8), "one_sided"),
@@ -649,13 +658,33 @@ class TestDecisionKernel:
             assert {bool(decided) for *_, decided in decisions} == {True, False}, (nobs, statistic)
             assert sums
             with monkeypatch.context() as patch:
-                patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+                _, again = record_decisions(patch)
                 assert frontier_scan(nobs, Fraction(1, 20), statistic) == first, (nobs, statistic)
+            assert len(again) == (len(sums) if statistic == "two_sided" else 0), (nobs, statistic)
+
+    def test_two_sided_tests_hold_no_bounds(self, monkeypatch):
+        # after two-sided scans of every table of a design the held kernel
+        # maps nothing, and a rescan of the design runs the same sums
+        alpha = Fraction(1, 20)
+        for n, m in ((12, 6), (13, 5)):
+            tables = design_tables(n, m)
+            randtest._kernel.cache_clear()
+            runs = []
+            for _ in range(2):
+                with monkeypatch.context() as patch:
+                    _, sums = record_decisions(patch)
+                    scans = [frontier_scan(nobs, alpha, "two_sided") for nobs in tables]
+                runs.append((scans, sums))
+            assert runs[0] == runs[1] and runs[0][1], (n, m)
+            built = randtest._kernel.cache_info().misses
+            _, upper, rejected = randtest._kernel(n, m, -(-comb(n, m) // 20), "two_sided")
+            assert randtest._kernel.cache_info().misses == built  # the scans' own kernel
+            assert upper == rejected == {}, (n, m)
 
     def test_upper_tail_is_exact_whatever_the_bounds_hold(self, monkeypatch):
         # N accepts against both tables, by its upper tail alone only at the
-        # smaller margin; a bound that knows the accept at the larger margin
-        # does not settle which tail accepts at the smaller one
+        # smaller margin; each two-sided test runs its own sum, so neither
+        # the order of the tests nor a repeat changes which tail accepts
         N, alpha = PotentialTable(0, 3, 1, 1), Fraction(1, 10)
         near, far = ObservedTable(1, 0, 1, 3), ObservedTable(1, 0, 0, 4)
         assert N.tau < near.tau_hat < far.tau_hat
@@ -669,8 +698,9 @@ class TestDecisionKernel:
             assert got == {near: randtest.ACCEPT_UPPER, far: randtest.ACCEPT}, order
             assert len(sums) == 2, order
             with monkeypatch.context() as patch:
-                patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+                _, again = record_decisions(patch)
                 assert {nobs: randtest.acceptor(nobs, alpha)(*N.as_tuple()) for nobs in order} == got
+            assert len(again) == 2, order
 
     def test_groups_are_keyed_by_need(self):
         # p lies between the two levels: the lower accepts, the higher rejects,
@@ -686,7 +716,7 @@ class TestDecisionKernel:
 
     def test_newest_group_is_held(self, monkeypatch):
         nobs = ObservedTable(2, 3, 1, 4)
-        b, c = (Fraction(1, 10), "two_sided"), (Fraction(1, 20), "one_sided")
+        b, c = (Fraction(1, 10), "one_sided"), (Fraction(1, 20), "one_sided")
         randtest._kernel.cache_clear()
         first = {group: frontier_scan(nobs, *group) for group in (b, c)}
         with monkeypatch.context() as patch:
@@ -698,7 +728,7 @@ class TestDecisionKernel:
         assert sums  # b's bounds were dropped when c's kernel was made
 
     def test_held_kernel_never_skips_a_check(self, monkeypatch):
-        nobs, alpha, statistic = ObservedTable(3, 4, 6, 3), Fraction(1, 20), "two_sided"
+        nobs, alpha, statistic = ObservedTable(5, 2, 1, 8), Fraction(1, 20), "one_sided"
         randtest._kernel.cache_clear()
         first = frontier_scan(nobs, alpha, statistic)
         refusals = (  # (error, alpha, statistic, size guard)
