@@ -236,7 +236,8 @@ class TestBatch:
         assert isinstance(res.exception, SystemExit)
         assert res.stderr == f"error: row 3: {self.MALFORMED[bad_row]}\n"
         rows = list(csv.DictReader(io.StringIO(res.stdout)))
-        assert [(r["ci_ntau_lo"], r["ci_ntau_hi"]) for r in rows] == [("-1", "14"), ("-14", "-5")]
+        good = [(r["ci_ntau_lo"], r["ci_ntau_hi"], r["tests"]) for r in rows]
+        assert good == [("-1", "14", "103"), ("-14", "-5", "189")]
 
     def test_row_over_size_guard_is_a_row_error(self, runner, tmp_path, monkeypatch):
         # compute exits 3 on it; in a batch it fails its row alone, exit 2

@@ -92,6 +92,26 @@ class TestFrontier:
                 b = ci_brute_force(nobs, alpha).ci_ntau
                 assert f[0] <= b[0] and b[1] <= f[1], (cells, alpha)
 
+    @pytest.mark.parametrize(
+        "alpha, cells, frontier, brute",
+        [
+            # one table of each of the 8 classes, n = 16-23, whose frontier
+            # interval is one grid point wider than the brute-force one (README)
+            pytest.param(Fraction(1, 10), (5, 4, 7, 0), (-10, -1), (-10, -2), id="5,4,7,0"),
+            pytest.param(Fraction(1, 10), (6, 4, 8, 0), (-10, -1), (-10, -2), id="6,4,8,0"),
+            pytest.param(Fraction(1, 100), (1, 8, 0, 11), (-4, 9), (-4, 8), id="1,8,0,11"),
+            pytest.param(Fraction(1, 20), (0, 7, 7, 7), (-13, -1), (-13, -2), id="0,7,7,7"),
+            pytest.param(Fraction(1, 20), (0, 8, 6, 7), (-13, -1), (-13, -2), id="0,8,6,7"),
+            pytest.param(Fraction(1, 20), (0, 10, 5, 7), (-13, -1), (-13, -2), id="0,10,5,7"),
+            pytest.param(Fraction(1, 20), (0, 6, 9, 8), (-15, -1), (-15, -2), id="0,6,9,8"),
+            pytest.param(Fraction(1, 100), (0, 10, 0, 13), (-5, 7), (-5, 6), id="0,10,0,13"),
+        ],
+    )
+    def test_conservative_exactness_classes(self, alpha, cells, frontier, brute):
+        nobs = ObservedTable(*cells)
+        assert ci_two_sided_frontier(nobs, alpha).ci_ntau == frontier
+        assert ci_brute_force(nobs, alpha).ci_ntau == brute
+
     def test_treatment_switch_symmetry(self):
         for cells in SMALL_TABLES:
             nobs = ObservedTable(*cells)
