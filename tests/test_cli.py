@@ -220,21 +220,27 @@ class TestBatch:
         "8,4,5,7,0.05,sideways": "unknown method 'sideways'",
     }
 
-    @pytest.mark.parametrize("bad_row", MALFORMED)
-    def test_malformed_row_is_a_row_error(self, runner, tmp_path, bad_row):
-        # the bad row, between two good ones, fails alone and as compute
-        # fails: exit 2, no traceback
+    @pytest.mark.parametrize(
+        "bad_rows",
+        [(row,) for row in MALFORMED] + [("8,4,5,7,1/0,two-sided", "8,4,5,7")],
+        ids="+".join,
+    )
+    def test_malformed_row_is_a_row_error(self, runner, tmp_path, bad_rows):
+        # each bad row, between two good ones, fails alone and as compute
+        # fails: exit 2, no traceback, and a second bad row is still reported
         path = tmp_path / "in.csv"
         path.write_text(
             self.HEADER
             + "1,1,1,13,0.05,two-sided\n"
-            + bad_row + "\n"
+            + "".join(row + "\n" for row in bad_rows)
             + "2,6,8,0,0.05,brute-force\n"
         )
         res = runner.invoke(main, ["batch", str(path)])
         assert res.exit_code == EXIT_VALIDATION
         assert isinstance(res.exception, SystemExit)
-        assert res.stderr == f"error: row 3: {self.MALFORMED[bad_row]}\n"
+        assert res.stderr == "".join(
+            f"error: row {i}: {self.MALFORMED[row]}\n" for i, row in enumerate(bad_rows, start=3)
+        )
         rows = list(csv.DictReader(io.StringIO(res.stdout)))
         good = [(r["ci_ntau_lo"], r["ci_ntau_hi"], r["tests"]) for r in rows]
         assert good == [("-1", "14", "103"), ("-14", "-5", "189")]

@@ -4,42 +4,38 @@ Intervals and test counts at n = 100-300, full p-values at n = 100,
 coverage sweeps up to the CLI's size cap and a batch that switches groups
 on every row.
 
-The CLI runs as the `exactci` console script when it is on PATH, and
-otherwise as `python -m exactci.cli` under the inherited environment; either
-way each call is a fresh process. Library pins call the library, and the
-cold prefix-row build runs in a fresh interpreter, whose caches are empty.
+The CLI runs as `python -m exactci.cli` under the inherited environment,
+each call a fresh process. Library pins call the library, and the cold
+prefix-row build runs in a fresh interpreter, whose caches are empty.
 """
 
 import json
-import shutil
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
 from exactci import ObservedTable, PotentialTable, frontier_scan, p_one_sided, p_two_sided
 
-SCRIPT = shutil.which("exactci")
-CLI = [SCRIPT] if SCRIPT else [sys.executable, "-m", "exactci.cli"]
+CLI = [sys.executable, "-m", "exactci.cli"]
 
 
-def run(args: tuple[str, ...], stdin: str | None) -> subprocess.CompletedProcess:
+def run(*args: str, stdin: str | None = None) -> subprocess.CompletedProcess:
     return subprocess.run([*CLI, *args], input=stdin, capture_output=True, text=True)
 
 
-def compute_args(table: str, alpha: str, method: str) -> tuple[str, ...]:
-    return ("compute", "--table", table, "--alpha", alpha, "--method", method, "--format", "json")
+def compute(table: str, alpha: str, method: str):
+    return json_out(run("compute", "--table", table, "--alpha", alpha, "--method", method, "--format", "json"))
 
 
-def coverage_args(n: int, m: int, method: str) -> tuple[str, ...]:
-    return ("coverage", "--n", str(n), "--m", str(m), "--alpha", "0.05", "--method", method)
+def json_out(res: subprocess.CompletedProcess):
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
 
 
 #: (table, method, pinned fields of compute's JSON at alpha = 0.05)
 COMPUTE_PINS = [
-    pytest.param("8,4,5,7", "bonferroni", {"ci_ntau": [-4, 14]}, id="bonferroni-n24"),
     # tail sums beyond the n <= 60 of the seeded decision-path pairs
     pytest.param("25,25,25,25", "two-sided", {"ci_ntau": [-18, 18], "tests": 3876}, id="balanced-two-sided"),
     # one-sided tests decided by the integer threshold
@@ -86,51 +82,30 @@ SWITCH_ROWS = [
     ("5,7,3,9", "0.05", "one-sided-lower"),
     ("7,5,4,8", "0.05", "two-sided"),
 ]
-BATCH = ("batch", "-", "--format", "json")
-
-
-@pytest.fixture(scope="module")
-def cli() -> dict[tuple[str, ...], subprocess.CompletedProcess]:
-    """The finished process of every CLI call of this module, keyed by its arguments.
-
-    Each call is a fresh process; they run two at a time, one per core.
-    """
-    calls = dict.fromkeys(  # arguments -> text on stdin
-        [compute_args(table, "0.05", method) for table, method, _ in (p.values for p in COMPUTE_PINS)]
-        + [coverage_args(n, m, method) for n, m, method, _, _ in COVERAGE_PINS]
-        + [compute_args(*row) for row in SWITCH_ROWS]
-    )
-    calls[BATCH] = "n11,n10,n01,n00,alpha,method\n" + "".join(",".join(row) + "\n" for row in SWITCH_ROWS)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return dict(zip(calls, pool.map(run, calls, calls.values())))
-
-
-def json_out(res: subprocess.CompletedProcess):
-    assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout)
 
 
 @pytest.mark.parametrize("table, method, pinned", COMPUTE_PINS)
-def test_compute_interval_and_tests(cli, table, method, pinned):
-    got = json_out(cli[compute_args(table, "0.05", method)])
+def test_compute_interval_and_tests(table, method, pinned):
+    got = compute(table, "0.05", method)
     assert {key: got[key] for key in pinned} == pinned
 
 
 @pytest.mark.parametrize("n, m, method, least, mean", COVERAGE_PINS)
-def test_coverage_sweep_least_and_mean(cli, n, m, method, least, mean):
-    res = cli[coverage_args(n, m, method)]
+def test_coverage_sweep_least_and_mean(n, m, method, least, mean):
+    res = run("coverage", "--n", str(n), "--m", str(m), "--alpha", "0.05", "--method", method)
     assert res.returncode == 0, res.stderr  # 5 would mean a table covered below 19/20
     lines = res.stdout.splitlines()
     assert lines[2].startswith(f"min coverage:  {least} ("), lines
     assert lines[3] == f"mean coverage: {mean}", lines
 
 
-def test_batch_rows_switch_groups_and_equal_rows_alone(cli):
-    got = json_out(cli[BATCH])
+def test_batch_rows_switch_groups_and_equal_rows_alone():
+    csv = "n11,n10,n01,n00,alpha,method\n" + "".join(",".join(row) + "\n" for row in SWITCH_ROWS)
+    got = json_out(run("batch", "-", "--format", "json", stdin=csv))
     pins = [([-3, 13], 421), ([-2, 12], 409), ([-8, 8], 247), ([-1, 15], 259), ([-4, 14], 189), ([-3, 13], 409)]
     assert [(r["ci_ntau"], r["tests"]) for r in got] == pins
     for row, result in zip(SWITCH_ROWS, got, strict=True):
-        assert json_out(cli[compute_args(*row)]) == result, row
+        assert compute(*row) == result, row
 
 
 @pytest.mark.parametrize(
