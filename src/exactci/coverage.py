@@ -29,12 +29,20 @@ No monotonicity of the method is assumed: where coverage is not contiguous
 in n01, there are simply more runs.
 
 Most methods are mirror-equivariant: the interval of switch_y(X) is -(the
-interval of X) for every observed X. The sweep checks this on the runs,
-which hold the intervals clipped to [-n, n] with every empty one alike.
+interval of X) for every observed X. The sweep checks this on its
+intervals, clipped to [-n, n] and with every empty one alike.
 If it holds, a true table N = (N11, N10, N01, N00) and its mirror
 N' = (N00, N01, N10, N11) have the same coverage, since under any one
 assignment N' induces switch_y of the table N induces and has n*tau' =
 -n*tau; so one table of each pair is weighed. Otherwise every table is.
+
+A design with m > n/2 is weighed in design n - m, relabeled by switch_y o
+switch_z, an identity for any method: the observed table (n11, n10, n01,
+n00) becomes (n00, n01, n10, n11), the true table (N11, N10, N01, N00)
+becomes (N00, N10, N01, N11) with the same n*tau, and each assignment its
+complement. The weighing is cached on its intervals, so where those are
+the conjugate design's own, as when CI(switch_y(switch_z(X))) = CI(X),
+the second sweep of the pair weighs nothing.
 """
 
 from __future__ import annotations
@@ -55,6 +63,9 @@ __all__ = ["CoverageReport", "exact_coverage_sweep"]
 MAX_COVERAGE_N = 14
 
 CIFn = Callable[[ObservedTable], tuple[int, int]]
+#: clipped intervals of a design's observed tables, in (n11, n01) order
+Intervals = tuple[tuple[int, int], ...]
+EMPTY = (1, -1)  #: the one stored empty interval, its own negation
 #: (n11, maximal n01 ranges [start, stop)) pairs whose intervals hold one n*tau
 RunsAtT = list[tuple[int, list[tuple[int, int]]]]
 
@@ -78,19 +89,29 @@ class CoverageReport:
         return [(N, c) for N, c in self.per_table if c < level]
 
 
-def _covering_runs(n: int, m: int, ci_fn: CIFn) -> list[RunsAtT]:
+def _intervals(n: int, m: int, ci_fn: CIFn) -> Intervals:
+    """ci_fn's interval of each observed table, called in (n11, n01) order.
+
+    Each is clipped to [-n, n], since the part outside adds nothing, and
+    every empty one is stored as EMPTY.
+    """
+    rows = ((n11, n01) for n11 in range(m + 1) for n01 in range(n - m + 1))
+    tables = (ObservedTable(n11, m - n11, n01, n - m - n01) for n11, n01 in rows)
+    clipped = ((max(lo, -n), min(hi, n)) for lo, hi in map(ci_fn, tables))
+    return tuple(c if c[0] <= c[1] else EMPTY for c in clipped)
+
+
+def _covering_runs(n: int, m: int, intervals: Intervals) -> list[RunsAtT]:
     """runs[t + n]: the runs whose intervals hold t.
 
-    Only the n11 values with at least one run are listed. ci_fn is called once
-    per observed table, in (n11, n01) order. The part of an interval outside
-    [-n, n] adds nothing, nor does an empty one (lo > hi).
+    Only the n11 values with at least one run are listed.
     """
+    w = n - m + 1
     by_n11 = []
     for n11 in range(m + 1):
         by_t: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
-        for n01 in range(n - m + 1):
-            lo, hi = ci_fn(ObservedTable(n11, m - n11, n01, n - m - n01))
-            for t in range(max(lo, -n) + n, min(hi, n) + n + 1):
+        for n01, (lo, hi) in enumerate(intervals[n11 * w : n11 * w + w]):
+            for t in range(lo + n, hi + n + 1):
                 r = by_t[t]
                 if r and r[-1][1] == n01:
                     r[-1] = (r[-1][0], n01 + 1)
@@ -103,23 +124,13 @@ def _covering_runs(n: int, m: int, ci_fn: CIFn) -> list[RunsAtT]:
     ]
 
 
-def _mirror_equivariant(runs: list[RunsAtT], n: int, m: int) -> bool:
+def _mirror_equivariant(intervals: Intervals) -> bool:
     """True if the interval of switch_y(X) is -(the interval of X) for every X.
 
-    The intervals are compared as the runs hold them: clipped to [-n, n],
-    with every empty interval alike. switch_y maps the observed table
-    (n11, n01) to (m - n11, n - m - n01), so the runs at -t must be those at t
-    with both indices reflected.
+    switch_y maps the observed table (n11, n01) to (m - n11, n - m - n01),
+    which reverses the (n11, n01) order; EMPTY is its own negation.
     """
-    top = n - m + 1
-    for t in range(n + 1):
-        reflected = [
-            (m - n11, [(top - stop, top - start) for start, stop in reversed(n11_runs)])
-            for n11, n11_runs in reversed(runs[t])
-        ]
-        if runs[2 * n - t] != reflected:
-            return False
-    return True
+    return intervals[::-1] == tuple((-hi, -lo) for lo, hi in intervals)
 
 
 @lru_cache(maxsize=4)
@@ -134,6 +145,13 @@ def _true_tables(n: int) -> tuple[PotentialTable, ...]:
         for N10 in range(n - N11 + 1)
         for N01 in range(n - N11 - N10 + 1)
     )
+
+
+@lru_cache(maxsize=4)
+def _conjugates(n: int) -> tuple[int, ...]:
+    """Index in `_true_tables(n)` of (N00, N10, N01, N11), for each table."""
+    index = {N.as_tuple(): i for i, N in enumerate(_true_tables(n))}
+    return tuple(index[N00, N10, N01, N11] for N11, N10, N01, N00 in index)
 
 
 def _covered_weight(
@@ -191,6 +209,38 @@ def _covered_weight(
     return covered
 
 
+@lru_cache(maxsize=128)
+def _weigh(n: int, m: int, intervals: Intervals) -> tuple[Fraction, ...]:
+    """Coverage of every true table of size n, in (N11, N10, N01) order.
+
+    Only `_intervals(n, m, ci_fn)` decides them, so the newest 128 results
+    are kept, keyed without alpha: every (method, alpha) sweep of every m at
+    one n <= 14. That is at most 128 * C(17, 3) coverages, under 10 MB even
+    if all are distinct (1.3 MB after all such sweeps of the four methods at
+    n = 13 and 14, two levels each). `_weigh.cache_info()` counts the hits.
+    """
+    runs = _covering_runs(n, m, intervals)
+    mirrored = _mirror_equivariant(intervals)
+    cn = comb(n, m)
+    # weights of the mirrors of weighed tables, by (N11, N10, N01)
+    pending: dict[tuple[int, int, int], int] = {}
+    coverage_of: dict[int, Fraction] = {}
+    coverages = []
+    for N11 in range(n + 1):
+        for N10 in range(n - N11 + 1):
+            for N01 in range(n - N11 - N10 + 1):
+                covered = pending.pop((N11, N10, N01), None)
+                if covered is None:
+                    covered = _covered_weight(N11, N10, N01, m, n, runs[N10 - N01 + n])
+                    if mirrored:
+                        pending[n - N11 - N10 - N01, N01, N10] = covered
+                coverage = coverage_of.get(covered)
+                if coverage is None:
+                    coverage = coverage_of[covered] = Fraction(covered, cn)
+                coverages.append(coverage)
+    return tuple(coverages)
+
+
 def exact_coverage_sweep(
     n: int,
     m: int,
@@ -209,11 +259,10 @@ def exact_coverage_sweep(
     n01 values are contiguous, more where they are not. Only those partial
     n11 read a prefix row.
 
-    If the interval of switch_y(X) is -(the interval of X) for every observed
-    X, clipped to [-n, n] and with empty intervals alike, only one table of
-    each mirror pair N = (N11, N10, N01, N00), N' = (N00, N01, N10, N11) is
-    weighed, and the other gets the same coverage: under any one assignment
-    N' induces switch_y of the table N induces, and its n*tau is -n*tau.
+    Mirror-equivariant intervals weigh one table of each mirror pair, and a
+    design with m > n/2 is weighed relabeled as design (n, n - m); see the
+    module docstring. The weighing is cached on the clipped intervals, not
+    on ci_fn or alpha; each report carries its own alpha.
 
     per_table is in (N11, N10, N01) order; its `PotentialTable` objects are
     shared with every other report of size n. alpha is read as every method
@@ -225,23 +274,12 @@ def exact_coverage_sweep(
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     alpha = _check_alpha(alpha)
-    runs = _covering_runs(n, m, ci_fn)
-    mirrored = _mirror_equivariant(runs, n, m)
-    cn = comb(n, m)
-    # weights of the mirrors of weighed tables, by (N11, N10, N01)
-    pending: dict[tuple[int, int, int], int] = {}
-    coverage_of: dict[int, Fraction] = {}
-    coverages = []
-    for N11 in range(n + 1):
-        for N10 in range(n - N11 + 1):
-            for N01 in range(n - N11 - N10 + 1):
-                covered = pending.pop((N11, N10, N01), None)
-                if covered is None:
-                    covered = _covered_weight(N11, N10, N01, m, n, runs[N10 - N01 + n])
-                    if mirrored:
-                        pending[n - N11 - N10 - N01, N01, N10] = covered
-                coverage = coverage_of.get(covered)
-                if coverage is None:
-                    coverage = coverage_of[covered] = Fraction(covered, cn)
-                coverages.append(coverage)
+    intervals = _intervals(n, m, ci_fn)
+    if 2 * m <= n:
+        coverages = _weigh(n, m, intervals)
+    else:  # (n00, n01, n10, n11) of design n - m: (n11, n01) reversed, transposed
+        w = n - m + 1
+        reverse = intervals[::-1]
+        frame = _weigh(n, n - m, tuple(x for a in range(w) for x in reverse[a::w]))
+        coverages = map(frame.__getitem__, _conjugates(n))
     return CoverageReport(n, m, alpha, tuple(zip(_true_tables(n), coverages)))

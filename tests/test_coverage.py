@@ -163,7 +163,11 @@ class TestAgainstSplitOracle:
 
 
 def count_weighings(monkeypatch) -> list[int]:
-    """Counts `coverage._covered_weight` calls, i.e. true tables weighed."""
+    """Counts `coverage._covered_weight` calls, i.e. true tables weighed.
+
+    The weighing cache is cleared first, so no earlier sweep's intervals hit.
+    """
+    coverage._weigh.cache_clear()
     calls = [0]
     weigh = coverage._covered_weight
 
@@ -251,6 +255,94 @@ class TestMirrorShortcut:
         assert tables == sorted(tables)
 
 
+def clipped(n: int, interval: tuple[int, int]) -> tuple[int, int] | None:
+    """interval clipped to [-n, n], or None if that leaves it empty."""
+    lo, hi = max(interval[0], -n), min(interval[1], n)
+    return (lo, hi) if lo <= hi else None
+
+
+def conjugate_invariant(n: int, m: int, ci_fn) -> bool:
+    """True if X and switch_y(switch_z(X)) have the same clipped interval for every X of (n, m)."""
+    return all(
+        clipped(n, ci_fn(x)) == clipped(n, ci_fn(x.switch_z().switch_y()))
+        for x in observed_tables_of_design(n, m)
+    )
+
+
+def conjugate_pairs() -> list[tuple[int, int, int]]:
+    """(n, m, n - m) for every n <= 9 and m != n/2: both orders of each conjugate pair."""
+    return [(n, m, n - m) for n in range(2, 10) for m in range(1, n) if 2 * m != n]
+
+
+class TestConjugateFrame:
+    """A design with m > n/2 is weighed relabeled in design (n, n - m), through one cache."""
+
+    @pytest.mark.parametrize("method", SWEEP_METHODS)
+    def test_conjugate_designs_share_one_weighing(self, monkeypatch, method):
+        ci_fn = method_ci_fn(method, ALPHA)
+        oracle = {(n, m): coverage_by_splits(n, m, ALPHA, ci_fn) for n, m, _ in conjugate_pairs()}
+        calls = count_weighings(monkeypatch)
+        weighed_again = 0
+        for n, first, second in conjugate_pairs():
+            coverage._weigh.cache_clear()
+            assert exact_coverage_sweep(n, first, ALPHA, ci_fn) == oracle[n, first]
+            calls[0] = 0
+            hits = coverage._weigh.cache_info().hits
+            assert exact_coverage_sweep(n, second, ALPHA, ci_fn) == oracle[n, second], (n, second)
+            hit = coverage._weigh.cache_info().hits - hits
+            # the cache hits exactly where the relabeled intervals are the first design's
+            assert hit == conjugate_invariant(n, first, ci_fn), (n, first, second)
+            assert (calls[0] == 0) == hit, (n, first, second)
+            weighed_again += not hit
+        if method == "margin_inversion":
+            assert weighed_again  # CI(switch_y(switch_z(X))) != CI(X) at n = 7-9
+        else:
+            assert weighed_again == 0
+
+    def test_random_intervals_weigh_again(self, monkeypatch):
+        rng = random.Random(20154)
+        calls = count_weighings(monkeypatch)
+        for n, first, second in conjugate_pairs():
+            for m in (first, second):
+                intervals = random_intervals(n, m, rng)
+                calls[0] = 0
+                report = exact_coverage_sweep(n, m, ALPHA, intervals.__getitem__)
+                assert calls[0] > 0, (n, m)
+                assert report == coverage_by_splits(n, m, ALPHA, intervals.__getitem__), (n, m)
+
+    @pytest.mark.parametrize("n, first, second", ((6, 2, 4), (6, 4, 2), (7, 3, 4), (7, 4, 3), (9, 2, 7)))
+    def test_one_moved_interval_is_weighed(self, monkeypatch, n, first, second):
+        # bonferroni's conjugate sweep hits; moving any one interval of the
+        # second design by one grid point misses, and the report stays exact
+        ci_fn = method_ci_fn("bonferroni", ALPHA)
+        calls = count_weighings(monkeypatch)
+        exact_coverage_sweep(n, first, ALPHA, ci_fn)
+        base = {x: ci_fn(x) for x in observed_tables_of_design(n, second)}
+        assert all(lo <= hi for lo, hi in base.values())
+        calls[0] = 0
+        exact_coverage_sweep(n, second, ALPHA, base.__getitem__)
+        assert calls[0] == 0
+        for moved in base:
+            lo, hi = base[moved]
+            intervals = {**base, moved: (lo + 1, hi + 1)}
+            calls[0] = 0
+            report = exact_coverage_sweep(n, second, ALPHA, intervals.__getitem__)
+            assert calls[0] > 0, moved
+            assert report == coverage_by_splits(n, second, ALPHA, intervals.__getitem__), moved
+
+    def test_levels_with_the_same_intervals_share_one_entry(self):
+        # the weighing is keyed without alpha: two levels of (8, 3) and one of
+        # its conjugate (8, 5) read one entry, and every report keeps its alpha
+        coverage._weigh.cache_clear()
+        sweeps = ((3, Fraction(1, 10)), (3, 0.05), (5, Fraction(1, 100)))
+        reports = [exact_coverage_sweep(8, m, alpha, lambda nobs: (-1, 3)) for m, alpha in sweeps]
+        info = coverage._weigh.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+        assert [r.alpha for r in reports] == [Fraction(1, 10), Fraction(1, 20), Fraction(1, 100)]
+        for report in reports:
+            assert report == coverage_by_splits(8, report.m, report.alpha, lambda nobs: (-1, 3))
+
+
 def n01_support(N: PotentialTable, m: int, n11: int) -> tuple[int, int] | None:
     """Least and greatest n01 over the splits of N with n11 treated responders.
 
@@ -279,7 +371,7 @@ class TestReferenceWeight:
     @staticmethod
     def assert_same_weights(n, m, ci_fn, ends=None):
         """Compare every true table's weight; count run ends near supports in ends."""
-        runs = coverage._covering_runs(n, m, ci_fn)
+        runs = coverage._covering_runs(n, m, coverage._intervals(n, m, ci_fn))
         for N01 in range(n + 1):
             for N00 in range(n - N01 + 1):
                 rows = at_most_rows(N01, N00, m, n)
