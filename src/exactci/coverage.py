@@ -31,18 +31,20 @@ in n01, there are simply more runs.
 Most methods are mirror-equivariant: the interval of switch_y(X) is -(the
 interval of X) for every observed X. The sweep checks this on its
 intervals, clipped to [-n, n] and with every empty one alike.
-If it holds, a true table N = (N11, N10, N01, N00) and its mirror
-N' = (N00, N01, N10, N11) have the same coverage, since under any one
-assignment N' induces switch_y of the table N induces and has n*tau' =
--n*tau; so one table of each pair is weighed. Otherwise every table is.
+If it holds, a true table N and its mirror switch_y(N) have the same
+coverage, since under any one assignment the mirror induces switch_y of
+the table N induces and has n*tau' = -n*tau; so one table of each pair is
+weighed. Otherwise every table is.
 
 A design with m > n/2 is weighed in design n - m, relabeled by switch_y o
 switch_z, an identity for any method: the observed table (n11, n10, n01,
-n00) becomes (n00, n01, n10, n11), the true table (N11, N10, N01, N00)
-becomes (N00, N10, N01, N11) with the same n*tau, and each assignment its
-complement. The weighing is cached on its intervals, so where those are
-the conjugate design's own, as when CI(switch_y(switch_z(X))) = CI(X),
-the second sweep of the pair weighs nothing.
+n00) becomes (n00, n01, n10, n11), a true table N becomes
+switch_y(switch_z(N)) with the same n*tau, and each assignment its
+complement. Both true-table relabelings are index tables over the reported
+tables, built once per n from `PotentialTable.switch_y` and `switch_z`. The
+weighing is cached on its intervals, so where those are the conjugate
+design's own, as when CI(switch_y(switch_z(X))) = CI(X), the second sweep of
+the pair weighs nothing.
 """
 
 from __future__ import annotations
@@ -148,31 +150,30 @@ def _true_tables(n: int) -> tuple[PotentialTable, ...]:
 
 
 @lru_cache(maxsize=4)
-def _conjugates(n: int) -> tuple[int, ...]:
-    """Index in `_true_tables(n)` of (N00, N10, N01, N11), for each table."""
-    index = {N.as_tuple(): i for i, N in enumerate(_true_tables(n))}
-    return tuple(index[N00, N10, N01, N11] for N11, N10, N01, N00 in index)
+def _relabelings(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index in `_true_tables(n)` of switch_y(N) and of switch_y(switch_z(N)), for each N.
 
-
-def _covered_weight(
-    N11: int,
-    N10: int,
-    N01: int,
-    m: int,
-    n: int,
-    runs_at_t: RunsAtT,
-) -> int:
-    """Number of size-m assignments whose interval covers the true n*tau.
-
-    The true table is (N11, N10, N01, N00) and runs_at_t is
-    `_covering_runs(...)` at its n*tau. For each n11 with a split, one run
-    that spans the whole n01 support adds C(N11 + N10, n11) * C(N01 + N00,
-    m - n11), the weight of all its splits by Vandermonde's identity;
-    otherwise every run adds one difference of prefix sums for each number
-    of type-11 units left in control, read from the row
-    `_at_most(N01, N00, m - n11)`.
+    The first is N's mirror, the second its image in the conjugate frame;
+    each index is an involution.
     """
-    N00 = n - N11 - N10 - N01
+    tables = _true_tables(n)
+    index = {N: i for i, N in enumerate(tables)}
+    mirror = tuple(index[N.switch_y()] for N in tables)
+    return mirror, tuple(index[N.switch_y().switch_z()] for N in tables)
+
+
+def _covered_weight(N: PotentialTable, m: int, runs_at_t: RunsAtT) -> int:
+    """Number of size-m assignments whose interval covers t, for true table N.
+
+    runs_at_t is `_covering_runs(...)` at t; at N's own n*tau this is the
+    weight of N's coverage. For each n11 with a split, one run that spans
+    the whole n01 support adds C(N11 + N10, n11) * C(N01 + N00, m - n11), the
+    weight of all its splits by Vandermonde's identity; otherwise every run
+    adds one difference of prefix sums for each number of type-11 units left
+    in control, read from the row `_at_most(N01, N00, m - n11)`.
+    """
+    N11, N10, N01, N00 = N.as_tuple()
+    n = N.n
     N1, N0 = N11 + N10, N01 + N00
     c1, c0 = _comb_row(N1), _comb_row(N0)
     offset = n - m + 1 + N01
@@ -211,33 +212,29 @@ def _covered_weight(
 
 @lru_cache(maxsize=128)
 def _weigh(n: int, m: int, intervals: Intervals) -> tuple[Fraction, ...]:
-    """Coverage of every true table of size n, in (N11, N10, N01) order.
+    """Coverage of every true table of size n, in `_true_tables(n)` order.
 
     Only `_intervals(n, m, ci_fn)` decides them, so the newest 128 results
     are kept, keyed without alpha: every (method, alpha) sweep of every m at
     one n <= 14. That is at most 128 * C(17, 3) coverages, under 10 MB even
     if all are distinct (1.3 MB after all such sweeps of the four methods at
     n = 13 and 14, two levels each). `_weigh.cache_info()` counts the hits.
+    Mirror-equivariant intervals copy a table's coverage from its mirror if that came first.
     """
     runs = _covering_runs(n, m, intervals)
-    mirrored = _mirror_equivariant(intervals)
+    mirror = _relabelings(n)[0] if _mirror_equivariant(intervals) else None
     cn = comb(n, m)
-    # weights of the mirrors of weighed tables, by (N11, N10, N01)
-    pending: dict[tuple[int, int, int], int] = {}
     coverage_of: dict[int, Fraction] = {}
-    coverages = []
-    for N11 in range(n + 1):
-        for N10 in range(n - N11 + 1):
-            for N01 in range(n - N11 - N10 + 1):
-                covered = pending.pop((N11, N10, N01), None)
-                if covered is None:
-                    covered = _covered_weight(N11, N10, N01, m, n, runs[N10 - N01 + n])
-                    if mirrored:
-                        pending[n - N11 - N10 - N01, N01, N10] = covered
-                coverage = coverage_of.get(covered)
-                if coverage is None:
-                    coverage = coverage_of[covered] = Fraction(covered, cn)
-                coverages.append(coverage)
+    coverages: list[Fraction] = []
+    for i, N in enumerate(_true_tables(n)):
+        if mirror and mirror[i] < i:
+            coverages.append(coverages[mirror[i]])
+            continue
+        covered = _covered_weight(N, m, runs[N.ntau + n])
+        coverage = coverage_of.get(covered)
+        if coverage is None:
+            coverage = coverage_of[covered] = Fraction(covered, cn)
+        coverages.append(coverage)
     return tuple(coverages)
 
 
@@ -281,5 +278,5 @@ def exact_coverage_sweep(
         w = n - m + 1
         reverse = intervals[::-1]
         frame = _weigh(n, n - m, tuple(x for a in range(w) for x in reverse[a::w]))
-        coverages = map(frame.__getitem__, _conjugates(n))
+        coverages = map(frame.__getitem__, _relabelings(n)[1])
     return CoverageReport(n, m, alpha, tuple(zip(_true_tables(n), coverages)))

@@ -187,6 +187,25 @@ def weighed_if_mirrored(n: int) -> int:
     return (len(tables) + s) // 2
 
 
+class TestRelabelings:
+    """`_relabelings(n)`: the index of each true table's mirror and of its conjugate-frame image."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_indexes_match_the_relabeled_tuples(self, n):
+        tables = [N.as_tuple() for N in coverage._true_tables(n)]
+        mirror, conjugate = coverage._relabelings(n)
+        assert len(mirror) == len(conjugate) == len(tables)
+        for i, (N11, N10, N01, N00) in enumerate(tables):
+            assert tables[mirror[i]] == (N00, N01, N10, N11), (n, tables[i])
+            assert tables[conjugate[i]] == (N00, N10, N01, N11), (n, tables[i])
+            for index in (mirror, conjugate):
+                assert index[index[i]] == i, (n, tables[i])  # an involution
+            assert mirror[conjugate[i]] == conjugate[mirror[i]], (n, tables[i])
+        fixed = [tables[i] for i, j in enumerate(mirror) if i == j]
+        assert fixed == [t for t in tables if t == t[::-1]]
+        assert (len(tables) + len(fixed)) // 2 == weighed_if_mirrored(n)
+
+
 class TestMirrorShortcut:
     """One table of each mirror pair is weighed only when the intervals allow it."""
 
@@ -377,13 +396,13 @@ class TestReferenceWeight:
                 rows = at_most_rows(N01, N00, m, n)
                 for N11 in range(n - N01 - N00 + 1):
                     N10 = n - N01 - N00 - N11
+                    N = PotentialTable(N11, N10, N01, N00)
                     runs_at_t = runs[N10 - N01 + n]
-                    got = coverage._covered_weight(N11, N10, N01, m, n, runs_at_t)
+                    got = coverage._covered_weight(N, m, runs_at_t)
                     want = reference_covered_weight(N11, N10, N01, m, n, runs_at_t, rows)
                     assert got == want, (n, m, (N11, N10, N01, N00))
                     if ends is None:
                         continue
-                    N = PotentialTable(N11, N10, N01, N00)
                     for n11, n11_runs in runs_at_t:
                         support = n01_support(N, m, n11)
                         if support is None:

@@ -88,8 +88,8 @@ def tail_le(spec: HyperGeomSpec, x: int) -> Fraction:
 def equal_tail_tables(total: int, sample: int, alpha: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Endpoint arrays (lo[x], hi[x]) of the equal-tail inversion for all x.
 
-    lo is the package's `_lower_ends`; hi mirrors it as `_refined_endpoints`
-    does: P_marked(X <= x) = P_{total-marked}(X >= sample - x).
+    lo is the package's `_lower_ends`; hi mirrors it as `ci_count` mirrors
+    the shrunk lower ends: P_marked(X <= x) = P_{total-marked}(X >= sample - x).
     """
     lo = _lower_ends(_weights(total, sample), alpha)
     return tuple(lo), tuple(total - a for a in reversed(lo))
@@ -206,13 +206,17 @@ class TestCiCount:
 
     def test_tables_match_the_two_array_reference(self):
         # the reference keeps both endpoint arrays, each with its own scan
-        # and update; the package keeps the lower ends and mirrors them
+        # and update; the package keeps the lower ends, and `ci_count`
+        # mirrors them into the upper ends
         for total in range(1, 41):
             for sample in range(total + 1):
                 for alpha in METHOD_ALPHAS:
                     key = (total, sample, alpha)
                     assert equal_tail_tables(*key) == reference_equal_tail_tables(*key), key
-                    assert _refined_endpoints(*key) == reference_refined_endpoints(*key), key
+                    ref_lo, ref_hi = reference_refined_endpoints(*key)
+                    assert _refined_endpoints(*key) == ref_lo, key
+                    his = tuple(ci_count(total, sample, x, alpha)[1] for x in range(sample + 1))
+                    assert his == ref_hi, key
 
     def test_returns_the_shrunk_interval(self):
         # the shrink lowers the upper end here; the equal-tail interval is wider
