@@ -18,11 +18,10 @@ Every result carries the count of randomization tests its construction
 needs for that table (one test = one accept/reject decision for one
 candidate table; frontier fallback assignments count zero). A table that is its own
 outcome-label mirror needs one frontier scan for both sides, so it counts one.
-A test counts as one whether a tail sum decides it, or one of the exact
-decision bounds that `randtest.acceptor` keeps per one-sided design, or a
-frontier scan's previous row (see `frontier_scan`), just as a cached scan
-summary counts its scan's tests; so a count, like an interval, depends only
-on the table, the level and the method, never on what ran before. The
+A test counts as one whether a tail sum decides it or a frontier scan's
+previous row does (see `frontier_scan`), just as a cached scan summary
+counts its scan's tests; so a count, like an interval, depends only on the
+table, the level and the method, never on what ran before. The
 previous row settles rejects and accepts in every scan, and carries only the
 accepts whose upper tail alone, the one-sided tail below the estimate,
 reaches the level.
@@ -175,7 +174,7 @@ def frontier_scan(
       estimate the two-sided p is at least the one-sided one.
     The decisions of these two rules are counted in `FrontierScan.settled`;
     the rest are calls of the decision function. Which frontiers seed
-    depends only on exact decisions, never on the decision bounds held.
+    depends only on exact decisions.
 
     Two-sided scans require m <= n - m; the caller conjugates by a treatment
     label switch otherwise. The decision function is built by

@@ -19,16 +19,10 @@ accept rule from ACCEPT_UPPER alone, the one-sided test below the estimate.
 public API from the same tail-sum body, `_tail_weight`, run to its end, so
 both paths decide alike.
 
-Every search of one group (n, m, need, statistic) draws its decisions from
-that group's decision kernel (see `acceptor`): constants hoisted out of the
-tests, among them the binomial rows of every count up to n as one tuple
-(`_comb_rows`), so a test makes no `_comb_row` call and calls `_tail_weight`
-directly; and, for a one-sided group, exact decision bounds, so that a test
-already settled by an earlier decision on the same table runs no sum (the
-one-sided tail weight never increases as the observed statistic grows). A
-two-sided test with a nonzero margin always runs its sum. One kernel is
-held, the newest group's (`_kernel`); a coverage sweep or a frontier CI
-uses one group.
+A search computes its tests' constants once, among them the binomial rows
+of every count up to n as one tuple (`_comb_rows`, the newest n's held), so
+a test makes no `_comb_row` call, and one with a nonzero margin runs one
+`_tail_weight` sum. No decision is kept from one test or search to the next.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
@@ -135,8 +129,9 @@ def null_dist(N: PotentialTable, m: int) -> list[tuple[Fraction, Fraction]]:
     return [(Fraction(scaled, denom), Fraction(w, cn)) for scaled, w in _scaled_atoms(N.as_tuple(), m)]
 
 
+@lru_cache(maxsize=1)
 def _comb_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """rows[c] = C(c, k) for k = 0..c, for every count c = 0..n of a size-n table."""
+    """rows[c] = C(c, k) for k = 0..c, for every count c = 0..n of a size-n table; the newest n's are held."""
     return tuple(map(_comb_row, range(n + 1)))
 
 
@@ -251,18 +246,6 @@ def _scaled_obs(nobs: ObservedTable) -> int:
 REJECT, ACCEPT, ACCEPT_UPPER = 0, 1, 2
 
 
-@lru_cache(maxsize=1)
-def _kernel(n: int, m: int, need: int, statistic: str) -> tuple[tuple[tuple[int, ...], ...], dict, dict]:
-    """The newest group's kernel: (`_comb_rows(n)`, upper, rejected).
-
-    For a one-sided group they map a tested table (N11, N10, N01) to the
-    largest scaled observed statistic decided ACCEPT_UPPER and to the least
-    decided REJECT; a two-sided group leaves them empty. A new group starts
-    them empty.
-    """
-    return _comb_rows(n), {}, {}
-
-
 def acceptor(
     nobs: ObservedTable,
     alpha: Fraction,
@@ -282,24 +265,12 @@ def acceptor(
     `Fraction` one, by one stopped `_tail_weight` walk, whose sign tells
     which tail reached need.
 
-    The decision function draws on its group's kernel, group = (n, m, need,
-    statistic):
-    - Constants, computed once per search: need, m*(n - m) and the scaled
-      observed statistic; and, once per group, the binomial rows
-      `_comb_rows(n)`, which `_tail_weight` indexes by count.
-    - For a one-sided group, exact decision bounds, shared by every search
-      of the group. For a fixed table and m, the upper tail only shrinks as
-      the observed statistic grows, so for each tested table the kernel
-      holds the largest statistic seen accepted and the least seen
-      rejected, and a statistic that they place decides without a sum. Only
-      a statistic that they do not place is summed, and its result tightens
-      them. Keying the group by need, not alpha, keeps every decision
-      weight >= need, so the bounds decide exactly as the sums would, and
-      no result depends on what the bounds hold. A two-sided test holds no
-      bounds: every test with a nonzero margin runs its sum.
-    One kernel is held, the newest group's (`_kernel`): a coverage sweep or
-    a frontier CI uses one group, and a search of another group starts that
-    group's rows and bounds anew. The kernel is read only after the checks.
+    need, m*(n - m), the scaled observed statistic and the binomial rows
+    `_comb_rows(n)`, which `_tail_weight` indexes by count, are computed
+    once per search, after the checks. The rows, which depend on n alone,
+    are all that outlives a search: every test with a nonzero margin,
+    one-sided or two-sided, runs its own sum, so no decision depends on
+    what ran before.
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
@@ -307,12 +278,9 @@ def acceptor(
     if statistic not in ("one_sided", "two_sided"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'one_sided' or 'two_sided'")
     need = -(-alpha.numerator * comb(n, m) // alpha.denominator)
-    rows, upper_held, rejected_held = _kernel(n, m, need, statistic)
-    upper_key, rejected_key = upper_held.get, rejected_held.get
+    rows = _comb_rows(n)
     mm = m * (n - m)
     obs = _scaled_obs(nobs)
-    ceiling = n * mm + 1  # above every scaled observed statistic
-    floor = -ceiling
     two_sided = statistic == "two_sided"
 
     def accepts(N11: int, N10: int, N01: int, N00: int) -> int:
@@ -322,17 +290,9 @@ def acceptor(
             if not margin:
                 return ACCEPT  # p = 1; the two tails would overlap
             weight = _tail_weight(N11, N10, N01, N00, m, t_tau + margin, t_tau - margin, need, rows)
-            return ACCEPT_UPPER if weight >= need else ACCEPT if weight < 0 else REJECT
-        cell = N11, N10, N01
-        if obs <= upper_key(cell, floor):
-            return ACCEPT_UPPER
-        if obs >= rejected_key(cell, ceiling):
-            return REJECT
-        if _tail_weight(N11, N10, N01, N00, m, obs, None, need, rows) >= need:
-            upper_held[cell] = obs
-            return ACCEPT_UPPER
-        rejected_held[cell] = obs
-        return REJECT
+        else:
+            weight = _tail_weight(N11, N10, N01, N00, m, obs, None, need, rows)
+        return ACCEPT_UPPER if weight >= need else ACCEPT if weight < 0 else REJECT
 
     return accepts
 

@@ -1,8 +1,8 @@
 """Pinned results through the entry points a user calls.
 
 Intervals and test counts at n = 100-300, full p-values at n = 100,
-coverage sweeps up to the CLI's size cap and a batch that switches groups
-on every row.
+coverage sweeps up to the CLI's size cap and a batch that changes its level
+or statistic on every row.
 
 The CLI runs as `python -m exactci.cli` under the inherited environment,
 each call a fresh process. Library pins call the library, and the cold
@@ -73,7 +73,7 @@ COVERAGE_PINS = [
     (13, 4, "one-sided-lower", "136/143", "0.993437"),
 ]
 
-#: one design (24, 12), a new (level, statistic) group at each row
+#: one design (24, 12), a new (level, statistic) pair at each row
 SWITCH_ROWS = [
     ("8,4,5,7", "0.05", "two-sided"),
     ("7,5,4,8", "0.1", "two-sided"),

@@ -538,7 +538,7 @@ def search(nobs, alpha, statistic):
 
 
 def record_decisions(monkeypatch):
-    """(decisions, sums): every search test as (nobs, alpha, cells, result), and the tail sums run."""
+    """(decisions, sums): every search test as (nobs, alpha, cells, result), and every tail sum's arguments but its rows."""
     decisions, sums = [], []
     make, tail = randtest.acceptor, randtest._tail_weight
 
@@ -553,7 +553,7 @@ def record_decisions(monkeypatch):
         return decide
 
     def counting(*args):
-        sums.append(args[:4])
+        sums.append(args[:8])
         return tail(*args)
 
     monkeypatch.setattr(randtest, "acceptor", recording)
@@ -562,7 +562,7 @@ def record_decisions(monkeypatch):
 
 
 class TestDecisionKernel:
-    """Decisions read off a group's exact bounds equal the `Fraction` p-value's."""
+    """Every decision of a search is its own stopped sum, equal to the `Fraction` p-value's."""
 
     # (n, m, statistic, the two levels interleaved on it); m > n - m included
     DESIGNS = (
@@ -591,11 +591,10 @@ class TestDecisionKernel:
                 alphas = rng.sample((Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 3)), 2)
             tables = design_tables(n, m)
             rng.shuffle(tables)
-            # scan the design's tables at both levels in turn, switching kernels
+            # scan the design's tables at both levels in turn, switching levels
             # at every search, then at one level in a row, as a coverage sweep
             # does, up to a few thousand tests each
             for levels in ([rng.sample(alphas, 2) for _ in tables], [alphas[:1]] * len(tables)):
-                randtest._kernel.cache_clear()
                 decisions, sums = record_decisions(monkeypatch)
                 for nobs, order in zip(tables, levels):
                     for alpha in order:
@@ -603,10 +602,14 @@ class TestDecisionKernel:
                     if len(decisions) > 3000:
                         break
                 monkeypatch.undo()
-                if statistic == "two_sided":
-                    # no bounds: every decision with a nonzero margin ran one sum
-                    summed = [cells for nobs, _, cells, _ in decisions if PotentialTable(*cells).tau != nobs.tau_hat]
-                    assert sums == summed, (n, m, statistic)
+                # every decision with a nonzero margin ran one sum; only a
+                # two-sided test has a margin of 0
+                summed = [
+                    cells
+                    for nobs, _, cells, _ in decisions
+                    if statistic == "one_sided" or PotentialTable(*cells).tau != nobs.tau_hat
+                ]
+                assert [call[:4] for call in sums] == summed, (n, m, statistic)
                 p_value = P_VALUES[statistic]
                 p_of = {}
                 for nobs, alpha, cells, decided in decisions:
@@ -615,71 +618,47 @@ class TestDecisionKernel:
                         N = PotentialTable(*cells)
                         p_of[key] = p_value(N, nobs), upper_tail_p(N, nobs, statistic)
                     check_decision(decided, *p_of[key], alpha, (n, m, statistic, nobs, alpha, cells))
-            if statistic == "one_sided":
-                assert len(sums) < len(decisions), (n, m, statistic)  # the bounds decided some tests
-
-    def test_bounds_decide_a_share_of_a_design(self, monkeypatch):
-        # a design's one-sided scans settle most of their tests by bounds, not sums
-        decisions, sums = record_decisions(monkeypatch)
-        randtest._kernel.cache_clear()
-        for nobs in design_tables(12, 6):
-            frontier_scan(nobs, Fraction(1, 20), "one_sided")
-        assert 2 * len(sums) < len(decisions)
 
     def test_scan_does_not_depend_on_held_bounds(self):
+        # nothing held between searches changes a scan: a table scanned
+        # first equals it scanned after the rest of its design
         rng = random.Random(27)
         for n, m, statistic in ((12, 5, "two_sided"), (13, 9, "one_sided"), (16, 8, "two_sided"), (17, 4, "one_sided")):
             tables = design_tables(n, m)
             rng.shuffle(tables)
             target, others = tables[0], tables[1:]
             alpha = Fraction(1, 20)
-            randtest._kernel.cache_clear()
+            first = frontier_scan(target, alpha, statistic)
             for nobs in others:
                 frontier_scan(nobs, alpha, statistic)
-            warm = frontier_scan(target, alpha, statistic)
-            randtest._kernel.cache_clear()
-            cold = frontier_scan(target, alpha, statistic)
-            assert warm == cold, (n, m, statistic, target)
-            assert warm.tests == cold.tests > 0
+            after = frontier_scan(target, alpha, statistic)
+            assert after == first, (n, m, statistic, target)
+            assert after.tests == first.tests > 0
 
-    def test_repeated_scan_needs_no_sum(self, monkeypatch):
-        # a one-sided statistic equal to a bound is decided by that bound,
-        # accepted or rejected; a two-sided scan holds no bounds, so its
-        # repeat runs every sum again
-        for nobs, statistic in (
-            (ObservedTable(3, 4, 6, 3), "two_sided"),
-            (ObservedTable(5, 2, 1, 8), "one_sided"),
-            (ObservedTable(7, 3, 2, 4), "one_sided"),  # m > n - m
-        ):
-            randtest._kernel.cache_clear()
+    @staticmethod
+    def check_rescan(monkeypatch, n, m, statistic):
+        # a second pass over every table of a design runs the first pass's
+        # sums, in the same order, and gives the same scans
+        alpha = Fraction(1, 20)
+        tables = design_tables(n, m)
+        runs = []
+        for _ in range(2):
             with monkeypatch.context() as patch:
                 decisions, sums = record_decisions(patch)
-                first = frontier_scan(nobs, Fraction(1, 20), statistic)
-            assert {bool(decided) for *_, decided in decisions} == {True, False}, (nobs, statistic)
-            assert sums
-            with monkeypatch.context() as patch:
-                _, again = record_decisions(patch)
-                assert frontier_scan(nobs, Fraction(1, 20), statistic) == first, (nobs, statistic)
-            assert len(again) == (len(sums) if statistic == "two_sided" else 0), (nobs, statistic)
+                scans = [frontier_scan(nobs, alpha, statistic) for nobs in tables]
+            runs.append((scans, sums))
+        assert {bool(decided) for *_, decided in decisions} == {True, False}, (n, m, statistic)
+        assert runs[0] == runs[1] and runs[0][1], (n, m, statistic)
+
+    def test_rescanned_design_runs_the_same_sums(self, monkeypatch):
+        # one-sided tests hold no bounds either: a rescan is no cheaper than
+        # the first pass; m > n - m included
+        for n, m in ((12, 5), (11, 7)):
+            self.check_rescan(monkeypatch, n, m, "one_sided")
 
     def test_two_sided_tests_hold_no_bounds(self, monkeypatch):
-        # after two-sided scans of every table of a design the held kernel
-        # maps nothing, and a rescan of the design runs the same sums
-        alpha = Fraction(1, 20)
         for n, m in ((12, 6), (13, 5)):
-            tables = design_tables(n, m)
-            randtest._kernel.cache_clear()
-            runs = []
-            for _ in range(2):
-                with monkeypatch.context() as patch:
-                    _, sums = record_decisions(patch)
-                    scans = [frontier_scan(nobs, alpha, "two_sided") for nobs in tables]
-                runs.append((scans, sums))
-            assert runs[0] == runs[1] and runs[0][1], (n, m)
-            built = randtest._kernel.cache_info().misses
-            _, upper, rejected = randtest._kernel(n, m, -(-comb(n, m) // 20), "two_sided")
-            assert randtest._kernel.cache_info().misses == built  # the scans' own kernel
-            assert upper == rejected == {}, (n, m)
+            self.check_rescan(monkeypatch, n, m, "two_sided")
 
     def test_upper_tail_is_exact_whatever_the_bounds_hold(self, monkeypatch):
         # N accepts against both tables, by its upper tail alone only at the
@@ -691,7 +670,6 @@ class TestDecisionKernel:
         assert p_one_sided(N, near) >= alpha > p_one_sided(N, far)
         assert p_two_sided(N, far) >= alpha
         for order in ((far, near), (near, far)):
-            randtest._kernel.cache_clear()
             with monkeypatch.context() as patch:
                 decisions, sums = record_decisions(patch)
                 got = {nobs: randtest.acceptor(nobs, alpha)(*N.as_tuple()) for nobs in order}
@@ -702,7 +680,7 @@ class TestDecisionKernel:
                 assert {nobs: randtest.acceptor(nobs, alpha)(*N.as_tuple()) for nobs in order} == got
             assert len(again) == 2, order
 
-    def test_groups_are_keyed_by_need(self):
+    def test_two_levels_on_one_table_decide_apart(self):
         # p lies between the two levels: the lower accepts, the higher rejects,
         # whichever is asked first
         N, nobs = PotentialTable(2, 3, 1, 6), ObservedTable(4, 2, 1, 5)
@@ -710,39 +688,28 @@ class TestDecisionKernel:
         for statistic, p_value in P_VALUES.items():
             assert low <= p_value(N, nobs) < high, statistic
             for order in ((low, high), (high, low)):
-                randtest._kernel.cache_clear()
                 for alpha in order * 2:
                     assert bool(randtest.acceptor(nobs, alpha, statistic)(*N.as_tuple())) == (alpha == low), (statistic, alpha)
 
-    def test_newest_group_is_held(self, monkeypatch):
-        nobs = ObservedTable(2, 3, 1, 4)
-        b, c = (Fraction(1, 10), "one_sided"), (Fraction(1, 20), "one_sided")
-        randtest._kernel.cache_clear()
-        first = {group: frontier_scan(nobs, *group) for group in (b, c)}
-        with monkeypatch.context() as patch:
-            patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
-            assert frontier_scan(nobs, *c) == first[c]
-        with monkeypatch.context() as patch:
-            decisions, sums = record_decisions(patch)
-            assert frontier_scan(nobs, *b) == first[b]
-        assert sums  # b's bounds were dropped when c's kernel was made
-
     def test_held_kernel_never_skips_a_check(self, monkeypatch):
-        nobs, alpha, statistic = ObservedTable(5, 2, 1, 8), Fraction(1, 20), "one_sided"
-        randtest._kernel.cache_clear()
-        first = frontier_scan(nobs, alpha, statistic)
-        refusals = (  # (error, alpha, statistic, size guard)
-            (ScaleGuard, alpha, statistic, nobs.n - 1),
-            (InvalidLevel, Fraction(3, 2), statistic, None),
-            (InvalidLevel, Fraction(0), statistic, None),
-            (ValueError, alpha, "three_sided", None),
-        )
-        for error, level, stat, cap in refusals:
-            with monkeypatch.context() as patch:
-                if cap is not None:
-                    patch.setenv(SCALE_GUARD_ENV, str(cap))
-                with pytest.raises(error):
-                    randtest.acceptor(nobs, level, stat)
-            with monkeypatch.context() as patch:
-                patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+        # every refusal comes before any sum, and the held binomial rows
+        # leave the next scan as it was
+        nobs, alpha = ObservedTable(5, 2, 1, 8), Fraction(1, 20)
+        for statistic in P_VALUES:
+            first = frontier_scan(nobs, alpha, statistic)
+            refusals = (  # (error, alpha, statistic, size guard)
+                (ScaleGuard, alpha, statistic, nobs.n - 1),
+                (InvalidLevel, Fraction(3, 2), statistic, None),
+                (InvalidLevel, Fraction(0), statistic, None),
+                (ValueError, alpha, "three_sided", None),
+            )
+            for error, level, stat, cap in refusals:
+                with monkeypatch.context() as patch:
+                    if cap is not None:
+                        patch.setenv(SCALE_GUARD_ENV, str(cap))
+                    patch.setattr(randtest, "_tail_weight", None)  # any sum would fail
+                    with pytest.raises(error):
+                        randtest.acceptor(nobs, level, stat)
+                    with pytest.raises(error):
+                        frontier_scan(nobs, level, stat)
                 assert frontier_scan(nobs, alpha, statistic) == first, error
