@@ -16,8 +16,11 @@ all with guaranteed finite-sample coverage:
 
 Every result carries the count of randomization tests its construction
 needs for that table (one test = one accept/reject decision for one
-candidate table; frontier fallback assignments count zero). A table that is its own
-outcome-label mirror needs one frontier scan for both sides, so it counts one.
+candidate table; frontier fallback assignments count zero). Brute force
+decides each distinct compatible table once but counts one test per
+cell-wise decomposition of the observed table, as the classical baseline
+does. A table that is its own outcome-label mirror needs one frontier scan
+for both sides, so it counts one.
 A test counts as one whether a tail sum decides it or a frontier scan's
 previous row does (see `frontier_scan`), just as a cached scan summary
 counts its scan's tests; so a count, like an interval, depends only on the
@@ -57,8 +60,7 @@ from .tables import (
     ObservedTable,
     attainable_ntau_range,
     is_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
-    iter_cell_decompositions,
-    iter_compatible,  # noqa: F401  (perfbench/tracing.py wraps this name)
+    iter_compatible,
 )
 
 __all__ = [
@@ -382,21 +384,19 @@ def ci_one_sided(
 def ci_brute_force(nobs: ObservedTable, alpha: Fraction) -> MethodResult:
     """Test every compatible potential table; reference implementation.
 
-    Candidates come from the cell-wise decomposition enumeration, one
-    randomization test each, so the count is (n11+1)(n10+1)(n01+1)(n00+1)
-    (duplicated tables are retested, as in the classical baseline). The
-    decision function comes from `randtest.acceptor`, looked up once per
-    search by module attribute, so a wrapper set on that name sees it.
+    Each table of `iter_compatible` is decided once. The count is the
+    classical baseline's, one test per cell-wise decomposition of nobs:
+    (n11+1)(n10+1)(n01+1)(n00+1), so a table that several decompositions
+    give counts once for each of them. The decision function comes from
+    `randtest.acceptor`, looked up once per search by module attribute, so a
+    wrapper set on that name sees it.
     """
     alpha = _check_alpha(alpha)
     accepts = randtest.acceptor(nobs, alpha, "two_sided")
-    accepted, tests = [], 0
-    for N in iter_cell_decompositions(nobs):
-        tests += 1
-        if accepts(*N.as_tuple()):
-            accepted.append(N.ntau)
+    accepted = [N.ntau for N in iter_compatible(nobs) if accepts(*N.as_tuple())]
     if not accepted:
         raise EmptyAcceptance("no compatible table accepted at this level")
+    tests = math.prod(c + 1 for c in nobs.as_tuple())
     return MethodResult("brute_force", nobs, alpha, (min(accepted), max(accepted)), tests)
 
 

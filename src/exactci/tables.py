@@ -184,30 +184,6 @@ def enumerate_compatible(nobs: ObservedTable) -> list[PotentialTable]:
     return list(iter_compatible(nobs))
 
 
-def iter_cell_decompositions(nobs: ObservedTable) -> Iterator[PotentialTable]:
-    """Yield one potential table per cell-wise latent-type decomposition.
-
-    Each observed cell's units are split over the two latent types they could
-    belong to: treated responders are (1,1) or (1,0), treated non-responders
-    (0,1) or (0,0), control responders (1,1) or (0,1), control non-responders
-    (1,0) or (0,0). Every choice yields a compatible table and every
-    compatible table arises from at least one choice, but distinct choices
-    can repeat a table. The number of candidates is
-    (n11+1)(n10+1)(n01+1)(n00+1), which is how the brute-force inversion
-    baseline enumerates (and counts) its tests.
-    """
-    for a in range(nobs.n11 + 1):  # treated responders of type (1,1)
-        for b in range(nobs.n10 + 1):  # treated non-responders of type (0,1)
-            for c in range(nobs.n01 + 1):  # control responders of type (1,1)
-                for d in range(nobs.n00 + 1):  # control non-responders of type (1,0)
-                    yield PotentialTable(
-                        a + c,
-                        (nobs.n11 - a) + d,
-                        b + (nobs.n01 - c),
-                        (nobs.n10 - b) + (nobs.n00 - d),
-                    )
-
-
 def attainable_ntau_range(nobs: ObservedTable) -> tuple[int, int]:
     """Closed integer range of n*tau values any compatible table can take."""
     return (-(nobs.n10 + nobs.n01), nobs.n11 + nobs.n00)

@@ -19,6 +19,17 @@ from exactci.randtest import p_one_sided, p_two_sided
 from exactci.tables import ObservedTable, PotentialTable, compatible_n10, is_compatible
 
 
+#: The reference observed tables whose intervals and counts the suite pins.
+SIX_TABLES = (
+    (1, 1, 1, 13),
+    (2, 6, 8, 0),
+    (6, 0, 11, 3),
+    (6, 4, 4, 6),
+    (1, 1, 3, 19),
+    (8, 4, 5, 7),
+)
+
+
 def count_calls(monkeypatch, statistic: str) -> list:
     """Record the cells of every test that searches with `statistic` decide.
 

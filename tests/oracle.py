@@ -5,6 +5,7 @@ distributions by iterating every size-m subset of an explicit unit list,
 compatibility by scanning candidate integer solutions, and acceptance
 frontiers by testing every N10 directly against the defining condition,
 and exact coverage by visiting every treated-count split of every true table.
+The cell-wise decompositions are the reference for the brute-force count.
 The reference scan, enumeration and coverage weight keep the straightforward
 loops the fast paths replaced: per-cell `compatible_n10` calls, one
 `is_compatible` call per potential table, and one difference of prefix sums
@@ -45,6 +46,7 @@ __all__ = [
     "brute_frontier",
     "reference_frontier_scan",
     "reference_compatible",
+    "cell_decompositions",
     "induced_observed",
     "coverage_by_splits",
     "reference_covered_weight",
@@ -195,6 +197,24 @@ def reference_compatible(nobs: ObservedTable) -> list[PotentialTable]:
                 if is_compatible(N, nobs):
                     found.append(N)
     return found
+
+
+def cell_decompositions(nobs: ObservedTable) -> list[PotentialTable]:
+    """One potential table per cell-wise latent-type decomposition of nobs.
+
+    Each observed cell's units are split over the two latent types they could
+    belong to: treated responders are (1,1) or (1,0), treated non-responders
+    (0,1) or (0,0), control responders (1,1) or (0,1), control non-responders
+    (1,0) or (0,0). Distinct choices can repeat a table, so there are
+    (n11+1)(n10+1)(n01+1)(n00+1) entries: the classical baseline's test count.
+    """
+    return [
+        PotentialTable(a + c, nobs.n11 - a + d, b + nobs.n01 - c, nobs.n10 - b + nobs.n00 - d)
+        for a in range(nobs.n11 + 1)  # treated responders of type (1,1)
+        for b in range(nobs.n10 + 1)  # treated non-responders of type (0,1)
+        for c in range(nobs.n01 + 1)  # control responders of type (1,1)
+        for d in range(nobs.n00 + 1)  # control non-responders of type (1,0)
+    ]
 
 
 def _iter_potential_tables(n: int):

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    SIX_TABLES,
     check_compatibility_agreement,
     check_contiguity,
     check_null_dist_vs_assignment_enumeration,
@@ -36,15 +37,6 @@ from exactci import (
 )
 
 ALPHA = Fraction(1, 20)
-
-SIX_TABLES = (
-    (1, 1, 1, 13),
-    (2, 6, 8, 0),
-    (6, 0, 11, 3),
-    (6, 4, 4, 6),
-    (1, 1, 3, 19),
-    (8, 4, 5, 7),
-)
 
 BRUTE_EXPECTED = {
     (1, 1, 1, 13): ((-1, 14), 112),

@@ -3,7 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from conftest import accepted_ntau, accepted_ntau_two_sided, count_calls, left_out, observed_tables, walked_tables
+from conftest import (
+    SIX_TABLES,
+    accepted_ntau,
+    accepted_ntau_two_sided,
+    count_calls,
+    left_out,
+    observed_tables,
+    walked_tables,
+)
 from test_acceptance import BONFERRONI_PUBLISHED, MARGIN_PUBLISHED
 
 from exactci import (
@@ -27,15 +35,6 @@ from exactci.hypergeom import SCALE_GUARD_ENV
 from exactci.methods import frontier_scan
 
 ALPHA = Fraction(1, 20)
-
-SIX_TABLES = (
-    (1, 1, 1, 13),
-    (2, 6, 8, 0),
-    (6, 0, 11, 3),
-    (6, 4, 4, 6),
-    (1, 1, 3, 19),
-    (8, 4, 5, 7),
-)
 
 SMALL_TABLES = (
     (2, 1, 1, 2),

@@ -20,6 +20,7 @@ from exactci import (
     SizeMismatch,
     ci_brute_force,
     ci_two_sided_frontier,
+    enumerate_compatible,
     frontier_scan,
     p_one_sided,
     p_two_sided,
@@ -27,10 +28,9 @@ from exactci import (
 from exactci import hypergeom, randtest
 from exactci.randtest import null_dist
 from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, _comb_row, max_exact_n
-from exactci.methods import FrontierScan
 
-from conftest import count_calls, observed_tables, potential_tables
-from oracle import enumerate_assignments, units_from_table
+from conftest import SIX_TABLES, count_calls, observed_tables, potential_tables
+from oracle import cell_decompositions, enumerate_assignments, units_from_table
 
 
 def definitional_p(N, nobs, dist=None):
@@ -132,22 +132,28 @@ class TestExactPValues:
         assert p_two_sided(N, nobs) == expect_two
 
     def test_counter_ticks(self, monkeypatch):
-        # the searches count one test per call of the decision function that
-        # randtest.acceptor builds, and a frontier scan one more per decision
-        # that its previous row settles
+        # a frontier scan counts one test per call of the decision function
+        # that randtest.acceptor builds, and one more per decision that its
+        # previous row settles; brute force calls it once per compatible
+        # table and counts one test per cell-wise decomposition
         two_sided = count_calls(monkeypatch, "two_sided")
         one_sided = count_calls(monkeypatch, "one_sided")
         nobs = ObservedTable(2, 1, 1, 3)
-        for calls, run in (
-            (two_sided, lambda: frontier_scan(nobs, Fraction(1, 20), "two_sided")),
-            (one_sided, lambda: frontier_scan(nobs, Fraction(1, 20), "one_sided")),
-            (two_sided, lambda: ci_brute_force(nobs, Fraction(1, 20))),
-        ):
+        for calls, statistic in ((two_sided, "two_sided"), (one_sided, "one_sided")):
             two_sided.clear()
             one_sided.clear()
-            res = run()
-            settled = res.settled if isinstance(res, FrontierScan) else 0
-            assert res.tests - settled == len(calls) > 0
+            scan = frontier_scan(nobs, Fraction(1, 20), statistic)
+            assert scan.tests - scan.settled == len(calls) > 0
+        for cells in ((2, 1, 1, 3), *SIX_TABLES):
+            nobs = ObservedTable(*cells)
+            two_sided.clear()
+            one_sided.clear()
+            res = ci_brute_force(nobs, Fraction(1, 20))
+            assert one_sided == []
+            assert two_sided == [N.as_tuple() for N in enumerate_compatible(nobs)], cells
+            assert res.tests == len(cell_decompositions(nobs)), cells
+        assert len(enumerate_compatible(ObservedTable(2, 1, 1, 3))) == 42
+        assert ci_brute_force(ObservedTable(2, 1, 1, 3), Fraction(1, 20)).tests == 3 * 2 * 2 * 4
 
     def test_scale_guard_env_override(self, monkeypatch):
         monkeypatch.setenv(SCALE_GUARD_ENV, "5")

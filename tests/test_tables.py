@@ -12,13 +12,14 @@ from exactci import (
     PotentialTable,
     SizeMismatch,
     attainable_ntau_range,
+    ci_brute_force,
     enumerate_compatible,
     is_compatible,
 )
-from exactci.tables import compatible_n10, iter_cell_decompositions
+from exactci.tables import compatible_n10
 
 from conftest import CONTROL_SIDE_MOVES, MOVES, observed_tables, shifted
-from oracle import brute_compatibility
+from oracle import brute_compatibility, cell_decompositions
 
 cell = st.integers(min_value=0, max_value=8)
 
@@ -205,12 +206,13 @@ class TestCellDecompositions:
             expected = 1
             for c in cells:
                 expected *= c + 1
-            assert sum(1 for _ in iter_cell_decompositions(nobs)) == expected
+            assert len(cell_decompositions(nobs)) == expected
+            assert ci_brute_force(nobs, Fraction(1, 20)).tests == expected
 
     def test_decompositions_cover_exactly_the_compatible_set(self):
         for n in range(2, 9):
             for nobs in observed_tables(n):
-                decomp = set(iter_cell_decompositions(nobs))
+                decomp = set(cell_decompositions(nobs))
                 assert decomp == set(enumerate_compatible(nobs)), nobs
 
 
