@@ -163,6 +163,8 @@ def batch(input_file, output_file, fmt) -> None:
     """
     with _open(input_file, "r") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row's missing fields read as ""
+        if reader.fieldnames:  # spreadsheet exports may start with a UTF-8 byte-order mark
+            reader.fieldnames[0] = reader.fieldnames[0].removeprefix("\ufeff")
         required = {"n11", "n10", "n01", "n00", "alpha", "method"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             _fail(f"input header must contain {sorted(required)}", EXIT_VALIDATION)

@@ -45,6 +45,15 @@ tables, built once per n from `PotentialTable.switch_y` and `switch_z`. The
 weighing is cached on its intervals, so where those are the conjugate
 design's own, as when CI(switch_y(switch_z(X))) = CI(X), the second sweep of
 the pair weighs nothing.
+
+The method calls of one sweep share exact decisions: the sweep sets
+`randtest._sweep_thresholds` to a fresh store while it calls the method,
+and resets it after, even if a call raises. A potential table is tested
+against many observed tables of one design, and for a fixed table the
+decision is a step function of the observed statistic, so four thresholds
+per table decide most repeats without a tail sum (see `randtest._held`).
+The store holds 4*(n + 1)**3 slots per (n, m, level, statistic) group,
+13,500 at n = 14, and nothing outlives the sweep.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from math import comb
 from operator import mul, sub
 from typing import Callable
 
+from . import randtest
 from .errors import ScaleGuard
 from .hypergeom import _at_most, _check_alpha, _comb_row
 from .tables import ObservedTable, PotentialTable
@@ -259,7 +269,10 @@ def exact_coverage_sweep(
     Mirror-equivariant intervals weigh one table of each mirror pair, and a
     design with m > n/2 is weighed relabeled as design (n, n - m); see the
     module docstring. The weighing is cached on the clipped intervals, not
-    on ci_fn or alpha; each report carries its own alpha.
+    on ci_fn or alpha; each report carries its own alpha. While ci_fn runs,
+    the randomization tests it makes share their exact decisions through
+    thresholds held for this call only; the intervals are those ci_fn gives
+    outside a sweep.
 
     per_table is in (N11, N10, N01) order; its `PotentialTable` objects are
     shared with every other report of size n. alpha is read as every method
@@ -271,7 +284,11 @@ def exact_coverage_sweep(
     if not 1 <= m <= n - 1:
         raise ValueError(f"need 1 <= m <= n-1, got m={m}")
     alpha = _check_alpha(alpha)
-    intervals = _intervals(n, m, ci_fn)
+    token = randtest._sweep_thresholds.set({})
+    try:
+        intervals = _intervals(n, m, ci_fn)
+    finally:
+        randtest._sweep_thresholds.reset(token)
     if 2 * m <= n:
         coverages = _weigh(n, m, intervals)
     else:  # (n00, n01, n10, n11) of design n - m: (n11, n01) reversed, transposed

@@ -22,7 +22,14 @@ both paths decide alike.
 A search computes its tests' constants once, among them the binomial rows
 of every count up to n as one tuple (`_comb_rows`, the newest n's held), so
 a test makes no `_comb_row` call, and one with a nonzero margin runs one
-`_tail_weight` sum. No decision is kept from one test or search to the next.
+`_tail_weight` sum. Outside a coverage sweep no decision is kept from one
+test or search to the next. Within one, `coverage.exact_coverage_sweep`
+sets `_sweep_thresholds` to a fresh store, and `acceptor` wraps its decision
+function in `_held`: for a fixed table the decision is a step function of
+the observed statistic, so four exact thresholds per table answer the
+queries they place without a sum, and the store dies with its sweep. It
+holds 4*(n + 1)**3 slots per (n, m, need, statistic) group: 13,500 at
+n = 14, 275,684 at n = 40.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
@@ -65,6 +72,7 @@ big-integer weights) and merges equal statistics; no p-value reads it.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -245,6 +253,12 @@ def _scaled_obs(nobs: ObservedTable) -> int:
 #: ACCEPT is one that needs the lower tail too, or a two-sided margin of 0.
 REJECT, ACCEPT, ACCEPT_UPPER = 0, 1, 2
 
+#: The decision thresholds of the coverage sweep running in this context, or
+#: None outside one. `coverage.exact_coverage_sweep` sets a fresh dict around
+#: its method calls and resets it after; `acceptor` keys it by
+#: (n, m, need, statistic).
+_sweep_thresholds: ContextVar[dict | None] = ContextVar("sweep_thresholds", default=None)
+
 
 def acceptor(
     nobs: ObservedTable,
@@ -267,10 +281,14 @@ def acceptor(
 
     need, m*(n - m), the scaled observed statistic and the binomial rows
     `_comb_rows(n)`, which `_tail_weight` indexes by count, are computed
-    once per search, after the checks. The rows, which depend on n alone,
-    are all that outlives a search: every test with a nonzero margin,
-    one-sided or two-sided, runs its own sum, so no decision depends on
-    what ran before.
+    once per search, after the checks. Outside a coverage sweep the rows,
+    which depend on n alone, are all that outlives a search: every test
+    with a nonzero margin, one-sided or two-sided, runs its own sum, so no
+    decision depends on what ran before. Inside a sweep (`_sweep_thresholds`
+    is set) the function returned is `_held`'s wrapper of that same one: it
+    reads and updates the sweep's thresholds of the (n, m, need, statistic)
+    group, allocated on the group's first search, and sums only the queries
+    they do not place. Its decisions are the same, exactly.
     """
     alpha = _check_alpha(alpha)
     n, m = nobs.n, nobs.m
@@ -294,7 +312,67 @@ def acceptor(
             weight = _tail_weight(N11, N10, N01, N00, m, obs, None, need, rows)
         return ACCEPT_UPPER if weight >= need else ACCEPT if weight < 0 else REJECT
 
-    return accepts
+    store = _sweep_thresholds.get()
+    if store is None:
+        return accepts
+    key = (n, m, need, statistic)
+    if key not in store:
+        slots, big = (n + 1) ** 3, n**3  # |obs| <= n*m*(n - m) < n**3
+        store[key] = ([-big] * slots, [big] * slots, [-big] * slots, [big] * slots)
+    return _held(accepts, store[key], n, mm, obs, two_sided)
+
+
+def _held(
+    accepts: Callable[[int, int, int, int], int],
+    group: tuple[list[int], list[int], list[int], list[int]],
+    n: int,
+    mm: int,
+    obs: int,
+    two_sided: bool,
+) -> Callable[[int, int, int, int], int]:
+    """accepts, answered from a sweep's thresholds where they place obs.
+
+    For a fixed table the upper tail {statistic >= obs} shrinks as obs
+    grows, and so, once obs is above tau, does the two-sided tail. So the
+    table's decision is a step function of obs: ACCEPT_UPPER up to some c1,
+    then ACCEPT up to some c2 >= c1, then REJECT. group holds four flat
+    lists, indexed by (N11*(n + 1) + N10)*(n + 1) + N01: the greatest obs
+    decided ACCEPT_UPPER, the least obs not ACCEPT_UPPER, the greatest obs
+    accepted and the least obs REJECTed, each a sentinel outside every obs
+    until a sum sets it. A query they place is answered without a sum, and
+    only a sum's decision updates them, so every answer is exact. A
+    one-sided test is never ACCEPT, so its greatest accepted obs stays the
+    sentinel. A two-sided test holds only tables with tau below the
+    estimate: at tau equal to it the margin is 0 and the test is ACCEPT
+    without a sum, and above it the margin grows as obs falls, so the steps
+    run the other way.
+    """
+    upper_hi, upper_lo, accept_hi, reject_lo = group
+    n1 = n + 1
+
+    def held(N11: int, N10: int, N01: int, N00: int) -> int:
+        if two_sided and mm * (N10 - N01) >= obs:
+            return accepts(N11, N10, N01, N00)  # tau at or above the estimate: not held
+        i = (N11 * n1 + N10) * n1 + N01
+        if obs <= upper_hi[i]:
+            return ACCEPT_UPPER
+        if obs >= reject_lo[i]:
+            return REJECT
+        if upper_lo[i] <= obs <= accept_hi[i]:
+            return ACCEPT
+        decided = accepts(N11, N10, N01, N00)
+        if decided == ACCEPT_UPPER:
+            upper_hi[i] = obs
+        else:
+            if obs < upper_lo[i]:
+                upper_lo[i] = obs
+            if not decided:
+                reject_lo[i] = obs
+            elif obs > accept_hi[i]:
+                accept_hi[i] = obs
+        return decided
+
+    return held
 
 
 def p_one_sided(N: PotentialTable, nobs: ObservedTable) -> Fraction:

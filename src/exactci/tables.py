@@ -44,7 +44,7 @@ class ObservedTable:
 
     def __post_init__(self) -> None:
         for c in (self.n11, self.n10, self.n01, self.n00):
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:  # bool is an int subclass; a count is an int itself
                 raise ValueError(f"counts must be non-negative integers, got {self}")
         if self.m == 0 or self.n - self.m == 0:
             raise DegenerateArm(
@@ -91,7 +91,7 @@ class PotentialTable:
 
     def __post_init__(self) -> None:
         for c in (self.N11, self.N10, self.N01, self.N00):
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise ValueError(f"counts must be non-negative integers, got {self}")
 
     @property

@@ -261,6 +261,17 @@ class TestBatch:
         res = runner.invoke(main, ["batch", str(path)])
         assert res.exit_code == EXIT_VALIDATION
 
+    def test_header_after_a_byte_order_mark(self, runner, tmp_path):
+        # spreadsheet exports start with a UTF-8 BOM, from a file or from "-"
+        data = b"\xef\xbb\xbf" + (self.HEADER + "1,1,1,13,0.05,bonferroni\n").encode()
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        for args, stdin in (([str(path)], None), (["-"], data)):
+            res = runner.invoke(main, ["batch", *args], input=stdin)
+            assert res.exit_code == 0, res.stderr
+            rows = list(csv.DictReader(io.StringIO(res.stdout)))
+            assert [(r["n11"], r["ci_ntau_lo"], r["ci_ntau_hi"]) for r in rows] == [("1", "-2", "14")]
+
     def test_missing_input_file_is_an_io_error(self, runner, tmp_path):
         path = tmp_path / "absent.csv"
         res = runner.invoke(main, ["batch", str(path)])

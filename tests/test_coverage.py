@@ -16,8 +16,9 @@ from exactci import (
     ci_two_sided_frontier,
     compute_ci,
     exact_coverage_sweep,
+    frontier_scan,
 )
-from exactci import coverage
+from exactci import coverage, methods, randtest
 from exactci.randtest import _iter_splits
 
 from oracle import at_most_rows, coverage_by_splits, induced_observed, reference_covered_weight
@@ -463,3 +464,81 @@ class TestExhaustiveCoverageBeyondCap:
         monkeypatch.setattr(coverage, "MAX_COVERAGE_N", 16)
         report = exact_coverage_sweep(16, m, ALPHA, method_ci_fn(method, ALPHA))
         assert report.min_coverage >= 1 - ALPHA, report.min_coverage
+
+
+def plain_acceptor() -> bool:
+    """True if `randtest.acceptor` returns its plain decision function, which holds nothing."""
+    accepts = randtest.acceptor(ObservedTable(3, 2, 1, 4), ALPHA)
+    return randtest._sweep_thresholds.get() is None and accepts.__qualname__ == "acceptor.<locals>.accepts"
+
+
+class TestSweepScope:
+    """Decision thresholds live exactly as long as their sweep and change no result."""
+
+    def test_thresholds_end_with_the_sweep(self):
+        assert plain_acceptor()
+        held = []
+        ci_fn = method_ci_fn("two_sided_frontier", ALPHA)
+
+        def inside(nobs):
+            held.append(not plain_acceptor())
+            return ci_fn(nobs)
+
+        methods._scan_summary.cache_clear()
+        exact_coverage_sweep(9, 4, ALPHA, inside)
+        assert held and all(held)
+        assert plain_acceptor()
+
+        def failing(nobs):
+            if nobs.n11 == 2:
+                raise RuntimeError("ci_fn failed")
+            return ci_fn(nobs)
+
+        with pytest.raises(RuntimeError, match="ci_fn failed"):
+            exact_coverage_sweep(9, 5, ALPHA, failing)
+        assert plain_acceptor()
+
+    @pytest.mark.parametrize("method", ("two_sided_frontier", "one_sided_lower", "one_sided_upper", "brute_force"))
+    @pytest.mark.parametrize("n, m", ((11, 4), (10, 7)))
+    def test_results_equal_those_outside_a_sweep(self, method, n, m):
+        inside = []
+
+        def ci_fn(nobs):
+            inside.append(compute_ci(method, nobs, ALPHA))
+            return inside[-1].ci_ntau
+
+        methods._scan_summary.cache_clear()
+        exact_coverage_sweep(n, m, ALPHA, ci_fn)
+        methods._scan_summary.cache_clear()
+        assert inside == [compute_ci(method, nobs, ALPHA) for nobs in observed_tables_of_design(n, m)]
+
+    @pytest.mark.parametrize(
+        "n, m, statistic",
+        ((11, 4, "two_sided"), (12, 6, "two_sided"), (11, 4, "one_sided"), (10, 7, "one_sided")),
+    )
+    def test_scans_equal_those_outside_a_sweep(self, n, m, statistic):
+        # frontiers, ends, tests and settled of every observed table's scan
+        # (a two-sided scan needs m <= n - m)
+        inside = []
+
+        def ci_fn(nobs):
+            inside.append(frontier_scan(nobs, ALPHA, statistic))
+            return (-n, n)
+
+        exact_coverage_sweep(n, m, ALPHA, ci_fn)
+        assert inside == [frontier_scan(nobs, ALPHA, statistic) for nobs in observed_tables_of_design(n, m)]
+
+    @pytest.mark.parametrize(
+        "method, sums, least",
+        (
+            ("two_sided_frontier", 2_210, Fraction(644976, 676039)),  # 15,632 sums with no thresholds
+            ("one_sided_lower", 2_154, Fraction(49415, 52003)),  # 16,448 sums with no thresholds
+        ),
+    )
+    def test_cap_lifted_sweep_sums(self, monkeypatch, method, sums, least):
+        monkeypatch.setattr(coverage, "MAX_COVERAGE_N", 24)
+        tail, calls = randtest._tail_weight, []
+        monkeypatch.setattr(randtest, "_tail_weight", lambda *args: calls.append(args[:4]) or tail(*args))
+        methods._scan_summary.cache_clear()
+        report = exact_coverage_sweep(24, 12, ALPHA, method_ci_fn(method, ALPHA))
+        assert (len(calls), report.min_coverage) == (sums, least)

@@ -1,8 +1,10 @@
 """Exact randomization-test engine."""
 
+import inspect
 import itertools
 import random
 import sys
+import textwrap
 import time
 import tracemalloc
 from collections import Counter
@@ -20,12 +22,14 @@ from exactci import (
     SizeMismatch,
     ci_brute_force,
     ci_two_sided_frontier,
+    compute_ci,
     enumerate_compatible,
+    exact_coverage_sweep,
     frontier_scan,
     p_one_sided,
     p_two_sided,
 )
-from exactci import hypergeom, randtest
+from exactci import hypergeom, methods, randtest
 from exactci.randtest import null_dist
 from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, _comb_row, max_exact_n
 
@@ -719,3 +723,84 @@ class TestDecisionKernel:
                     with pytest.raises(error):
                         frontier_scan(nobs, level, stat)
                 assert frontier_scan(nobs, alpha, statistic) == first, error
+
+
+def held_mutant(rewrites):
+    """`randtest._held` compiled from its source with each (old, new) text of rewrites replaced."""
+    source = textwrap.dedent(inspect.getsource(randtest._held))
+    for old, new in rewrites:
+        assert old in source, old
+        source = source.replace(old, new)
+    namespace = dict(vars(randtest))
+    exec(source, namespace)
+    return namespace["_held"]
+
+
+#: Unsafe threshold rules, each settling a query that the thresholds do not
+#: place, once the threshold it reads is set (the sentinels are -n**3 and n**3)
+UNSAFE_RULES = {
+    "REJECT for obs > the greatest accepted": (
+        ("if obs >= reject_lo[i]:", "if obs >= reject_lo[i] or obs > max(accept_hi[i], upper_hi[i]) > -n**3:"),
+    ),
+    "ACCEPT_UPPER for obs < the least not ACCEPT_UPPER": (
+        ("if obs <= upper_hi[i]:", "if obs <= upper_hi[i] or obs < upper_lo[i] < n**3:"),
+    ),
+}
+
+
+class TestSweepThresholds:
+    """Inside a coverage sweep the decisions are held per table, and every one is exact."""
+
+    # (n, m, method, levels, statistic): the sweep reports the first level,
+    # and its ci_fn asks for every level of one observed table in turn
+    SWEEPS = (
+        (12, 5, "two_sided_frontier", (Fraction(1, 20), Fraction(1, 10)), "two_sided"),
+        (11, 7, "two_sided_frontier", (Fraction(1, 10),), "two_sided"),
+        (12, 4, "one_sided_lower", (Fraction(1, 10), Fraction(1, 20)), "one_sided"),
+        (11, 8, "one_sided_lower", (Fraction(1, 20),), "one_sided"),
+        (8, 3, "brute_force", (Fraction(1, 20),), "two_sided"),
+        (8, 5, "brute_force", (Fraction(1, 10), Fraction(1, 3)), "two_sided"),
+    )
+
+    @staticmethod
+    def wrong_decisions(monkeypatch, n, m, method, levels, statistic):
+        """The sweep's decisions that disagree with their `Fraction` p-values, how many it made and its sums."""
+        methods._scan_summary.cache_clear()
+        with monkeypatch.context() as patch:
+            decisions, sums = record_decisions(patch)
+            ci_fn = lambda nobs: [compute_ci(method, nobs, a).ci_ntau for a in levels][0]
+            exact_coverage_sweep(n, m, levels[0], ci_fn)
+        p_value, p_of, wrong = P_VALUES[statistic], {}, []
+        for nobs, alpha, cells, decided in decisions:
+            key = (cells, nobs.tau_hat)
+            if key not in p_of:
+                N = PotentialTable(*cells)
+                p_of[key] = p_value(N, nobs), upper_tail_p(N, nobs, statistic)
+            try:
+                check_decision(decided, *p_of[key], alpha, key)
+            except AssertionError:
+                wrong.append((nobs, alpha, cells, decided))
+        return wrong, len(decisions), len(sums)
+
+    def test_every_decision_matches_its_p_value(self, monkeypatch):
+        rng = random.Random(2031)
+        deadline = time.monotonic() + 2.5
+        for sweep in self.SWEEPS:  # the thresholds settle some decisions of each
+            wrong, made, summed = self.wrong_decisions(monkeypatch, *sweep)
+            assert 0 < summed < made and not wrong, (sweep, wrong[:3])
+        while time.monotonic() < deadline:  # seeded extra sweeps
+            n = rng.randint(6, 12)
+            method, statistic = rng.choice(
+                (("two_sided_frontier", "two_sided"), ("one_sided_lower", "one_sided"), ("brute_force", "two_sided"))
+            )
+            levels = tuple(rng.sample((Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(1, 3)), 2))
+            sweep = (n, rng.randint(1, n - 1), method, levels, statistic)
+            wrong, made, _ = self.wrong_decisions(monkeypatch, *sweep)
+            assert made and not wrong, (sweep, wrong[:3])
+        # the check has teeth: each unsafe rule gives a wrong decision in a
+        # two-sided and in a one-sided sweep of SWEEPS
+        for rule, rewrites in UNSAFE_RULES.items():
+            with monkeypatch.context() as patch:
+                patch.setattr(randtest, "_held", held_mutant(rewrites))
+                caught = {sweep[-1] for sweep in self.SWEEPS if self.wrong_decisions(patch, *sweep)[0]}
+            assert caught == {"one_sided", "two_sided"}, rule

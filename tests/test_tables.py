@@ -60,6 +60,11 @@ class TestPotentialTable:
         with pytest.raises(ValueError):
             PotentialTable(1, -1, 0, 0)
 
+    @pytest.mark.parametrize("cells", ((True, 1, 0, 1), (1, 0, 2, False)))
+    def test_rejects_bool_counts(self, cells):
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            PotentialTable(*cells)
+
     def test_shifted_applies_moves(self):
         N = PotentialTable(2, 2, 2, 2)
         for mv in MOVES:
@@ -88,6 +93,12 @@ class TestObservedTable:
     def test_estimate_extremes(self):
         assert ObservedTable(3, 0, 0, 3).tau_hat == 1
         assert ObservedTable(0, 3, 3, 0).tau_hat == -1
+
+    @pytest.mark.parametrize("cells", ((True, 1, 0, 1), (1, 2, 3, False)))
+    def test_rejects_bool_counts(self, cells):
+        # a bool is an int, but a table of them would serialize as true/false
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            ObservedTable(*cells)
 
     def test_degenerate_arms_rejected(self):
         with pytest.raises(DegenerateArm):
