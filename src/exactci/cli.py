@@ -20,7 +20,6 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
 import click
 
@@ -42,16 +41,18 @@ METHOD_BY_NAME = {name: method for method, (name, _) in METHODS.items()}
 INPUT_ERRORS = (ExactCIError, ValueError)
 
 
-def parse_alpha(text: str) -> Fraction:
-    """alpha from "0.05" (exactly) or "1/20"; the library's one alpha rule."""
-    return _check_alpha(text)
+def parse_count(text: str) -> int:
+    """A count in ASCII decimal digits, spaces around them allowed; not "1_0", "+1" or other digits."""
+    if not (text.isascii() and text.strip().isdecimal()):
+        raise ValueError(f"a count must be written in decimal digits, got {text!r}")
+    return int(text)
 
 
 def parse_table(text: str) -> ObservedTable:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"expected four comma-separated counts, got {text!r}")
-    return ObservedTable(*(int(p.strip()) for p in parts))
+    return ObservedTable(*map(parse_count, parts))
 
 
 def result_to_dict(result: MethodResult) -> dict:
@@ -119,7 +120,7 @@ def _run_guarded(fn):
 
 def _compute(nobs: ObservedTable, alpha_text: str, method_name: str) -> MethodResult:
     """One table's interval, for `compute` and for each `batch` row."""
-    alpha = parse_alpha(alpha_text)
+    alpha = _check_alpha(alpha_text)
     method = METHOD_BY_NAME.get(method_name.strip())
     if method is None:
         raise ValueError(f"unknown method {method_name!r}")
@@ -172,7 +173,7 @@ def batch(input_file, output_file, fmt) -> None:
         failures = 0
         for i, row in enumerate(reader, start=2):  # header is line 1
             try:
-                nobs = ObservedTable(*(int(row[k]) for k in ("n11", "n10", "n01", "n00")))
+                nobs = ObservedTable(*(parse_count(row[k]) for k in ("n11", "n10", "n01", "n00")))
                 results.append(_compute(nobs, row["alpha"], row["method"]))
             except INPUT_ERRORS as exc:
                 click.echo(f"error: row {i}: {exc}", err=True)
@@ -200,7 +201,7 @@ def enumerate_cmd(table_str, alpha_str, fmt) -> None:
 
     def run():
         nobs = parse_table(table_str)
-        alpha = parse_alpha(alpha_str) if with_p else None
+        alpha = _check_alpha(alpha_str) if with_p else None
         rows = []
         for N in enumerate_compatible(nobs):
             row = [N.N11, N.N10, N.N01, N.N00, N.ntau, str(N.tau)]
@@ -237,7 +238,7 @@ def coverage(n, m, alpha_str, method) -> None:
     """
 
     def run():
-        alpha = parse_alpha(alpha_str)
+        alpha = _check_alpha(alpha_str)
         method_id = METHOD_BY_NAME[method]
 
         def ci_fn(nobs: ObservedTable) -> tuple[int, int]:

@@ -277,18 +277,24 @@ def exact_coverage_sweep(
     per_table is in (N11, N10, N01) order; its `PotentialTable` objects are
     shared with every other report of size n. alpha is read as every method
     reads it, a float by its shortest decimal form (0.05 is 1/20); a level
-    outside (0, 1) raises `InvalidLevel` before ci_fn is called.
+    outside (0, 1) raises `InvalidLevel` before ci_fn is called. n, m and
+    every clipped bound ci_fn gives must be ints, or `ValueError` is raised.
     """
     if n > MAX_COVERAGE_N:
         raise ScaleGuard(f"exact coverage sweep limited to n <= {MAX_COVERAGE_N}, got {n}")
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"need 1 <= m <= n-1, got m={m}")
+    if not (type(n) is type(m) is int and 1 <= m <= n - 1):
+        raise ValueError(f"need ints 1 <= m <= n-1, got {n=}, {m=}")
     alpha = _check_alpha(alpha)
     token = randtest._sweep_thresholds.set({})
     try:
         intervals = _intervals(n, m, ci_fn)
     finally:
         randtest._sweep_thresholds.reset(token)
+    bad = next((i for i, (lo, hi) in enumerate(intervals) if type(lo) is not int or type(hi) is not int), None)
+    if bad is not None:
+        n11, n01 = divmod(bad, n - m + 1)
+        table = ObservedTable(n11, m - n11, n01, n - m - n01)
+        raise ValueError(f"ci_fn must give int n*tau bounds, got {intervals[bad]!r} for {table}")
     if 2 * m <= n:
         coverages = _weigh(n, m, intervals)
     else:  # (n00, n01, n10, n11) of design n - m: (n11, n01) reversed, transposed

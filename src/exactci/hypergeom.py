@@ -24,9 +24,9 @@ of the six example tables exactly.
 `_at_most` keeps every row it builds until an upper estimate of the bytes
 they hold would pass `_ROW_BUDGET`, 83 MB, and then starts over empty: a
 process below that budget builds each row once, whatever designs it
-computes. `_guard` is the size guard of every exact computation:
-`ci_count` checks it before building endpoint tables, and `randtest` and the
-methods before any randomization test.
+computes. `_guard`, the size guard of every exact computation, alone reads
+its limit: `ci_count` checks it before building endpoint tables, and
+`randtest` and the methods before any randomization test.
 """
 
 from __future__ import annotations
@@ -45,21 +45,14 @@ __all__ = ["ci_count"]
 
 #: Environment variable overriding the exact-computation size guard.
 SCALE_GUARD_ENV = "EXACTCI_MAX_EXACT_N"
-DEFAULT_MAX_EXACT_N = 300
-
-
-def max_exact_n() -> int:
-    """Largest n for which exact computations are allowed (env-overridable)."""
-    raw = os.environ.get(SCALE_GUARD_ENV)
-    if raw is None:
-        return DEFAULT_MAX_EXACT_N
-    if not raw.strip().isdecimal():
-        raise ValueError(f"{SCALE_GUARD_ENV} must be a non-negative integer, got {raw!r}")
-    return int(raw)
 
 
 def _guard(n: int) -> None:
-    cap = max_exact_n()
+    """Refuse an exact computation of size n above the limit, `SCALE_GUARD_ENV` or else 300."""
+    raw = os.environ.get(SCALE_GUARD_ENV)
+    if raw is not None and not raw.strip().isdecimal():
+        raise ValueError(f"{SCALE_GUARD_ENV} must be a non-negative integer, got {raw!r}")
+    cap = 300 if raw is None else int(raw)
     if n > cap:
         raise ScaleGuard(f"exact computation requested for n={n} > limit {cap}")
 
@@ -243,12 +236,13 @@ def ci_count(total: int, sample: int, x: int, alpha: Fraction) -> tuple[int, int
     hi(sample - x)), nondecreasing in x, and exact (coverage at least
     1 - alpha). The shrink never lowers coverage to 1 - alpha or below,
     but where the equal-tail coverage already equals 1 - alpha it stays
-    there. A total above the size guard raises `ScaleGuard` before any
-    table is built, whether or not the tables are cached.
+    there. Counts must be ints (10.0 would find the cached entry of 10). A
+    total above the size guard raises `ScaleGuard` before any table is
+    built, whether or not the tables are cached.
     """
     alpha = _check_alpha(alpha)
-    if not 0 <= x <= sample <= total:
-        raise ValueError(f"need 0 <= x <= sample <= total, got x={x}, sample={sample}, total={total}")
+    if not (type(total) is type(sample) is type(x) is int and 0 <= x <= sample <= total):
+        raise ValueError(f"need ints 0 <= x <= sample <= total, got {x=}, {sample=}, {total=}")
     _guard(total)
     lo = _refined_endpoints(total, sample, alpha)
     return lo[x], total - lo[sample - x]

@@ -16,18 +16,17 @@ all with guaranteed finite-sample coverage:
 
 Every result carries the count of randomization tests its construction
 needs for that table (one test = one accept/reject decision for one
-candidate table; frontier fallback assignments count zero). Brute force
-decides each distinct compatible table once but counts one test per
-cell-wise decomposition of the observed table, as the classical baseline
-does. A table that is its own outcome-label mirror needs one frontier scan
-for both sides, so it counts one.
-A test counts as one whether a tail sum decides it or a frontier scan's
-previous row does (see `frontier_scan`), just as a cached scan summary
-counts its scan's tests; so a count, like an interval, depends only on the
-table, the level and the method, never on what ran before. The
-previous row settles rejects and accepts in every scan, and carries only the
-accepts whose upper tail alone, the one-sided tail below the estimate,
-reaches the level.
+candidate table; a frontier cell that accepts nothing records top + 1,
+untested). Brute force decides each distinct compatible table once but
+counts one test per cell-wise decomposition of the observed table, as the
+classical baseline does. A table that is its own outcome-label mirror needs
+one frontier scan for both sides, so it counts one. A test counts as one
+whether a tail sum decides it or a frontier scan's previous row does (see
+`frontier_scan`), just as a cached scan summary counts its scan's tests; so
+a count, like an interval, depends only on the table, the level and the
+method, never on what ran before. The previous row settles rejects and
+accepts in every scan, and carries only the accepts whose upper tail alone,
+the one-sided tail below the estimate, reaches the level.
 
 A `frontier_scan` returns its rows of frontiers, one list per N11, and the
 ends of its accepted n*tau. The frontier constructions read each scan
@@ -98,14 +97,14 @@ class FrontierScan:
     """Result of one lower-side frontier sweep.
 
     frontiers holds one list per N11 row, from N11 = 0 up: row[N01] is the
-    cell's minimum accepted N10, or the fallback value when nothing in range
-    is accepted. ends is the least and greatest n*tau over compatible tables
-    on or above the frontier, or None if there are none; a two-sided scan
-    also caps N10 at N01 + floor(n*tau_hat), so its ends bound only effects
-    at most the observed estimate. tests counts every decision the walk
-    makes; settled counts those of them that the previous N11 row decided
-    (see `frontier_scan`: rejects from its frontiers, accepts from its
-    seeds), which call no decision function.
+    cell's minimum accepted N10, or top + 1 if it accepts nothing (top is n
+    one-sided, N01 + floor(n*tau_hat) two-sided). ends is the least and
+    greatest n*tau over compatible tables on or above the frontier with
+    N10 <= top, or None if there are none, so a two-sided scan's ends bound
+    only effects at most the observed estimate. tests counts every decision
+    the walk makes; settled counts those of them that the previous N11 row
+    decided (see `frontier_scan`: rejects from its frontiers, accepts from
+    its seeds), which call no decision function.
     """
 
     frontiers: list[list[int]]
@@ -122,11 +121,12 @@ def frontier_scan(
     """Lower-side acceptance sweep over (N11, N01) cells.
 
     For each N11, N01 increases from 0, and each cell walks its candidates
-    N10 upward to the first accepted one, its frontier. Candidates beyond the
-    observed estimate (two-sided; the greatest is top = N01 +
-    floor(n*tau_hat)) or with a negative forced fourth cell are skipped
-    without testing; if no candidate is accepted the frontier takes its
-    fallback value (top + 1 for two-sided, n + 1 for one-sided). The
+    N10 upward to the first accepted one, its frontier. One rule bounds the
+    candidates of every cell: hi = min(top, avail), where avail = n - N11 -
+    N01 keeps the forced fourth cell non-negative and top is N01 +
+    floor(n*tau_hat) in a two-sided scan (the greatest N10 with effect at
+    most the estimate) and n in a one-sided one. Larger N10 are skipped
+    without testing, and a cell that accepts nothing records top + 1. The
     compatible tables of a cell form one N10 interval [n11 - H0, n11 + n00
     - L0], empty when L0 > H0, with L0 = max(0, N11 - n01, N11 + N01 - n10
     - n01) and H0 = min(N11, n11, N11 + N01 - n01) (`compatible_n10` is the
@@ -141,33 +141,32 @@ def frontier_scan(
     01->00. The property tests check these orders over every table of
     small n. Each decision so made is exact and counts as one test, so the
     frontiers, the ends and the count are those of a walk that tests every
-    candidate. The state the rules read is the
-    previous row of frontiers, prev, and the previous row of seeds; hi is
-    the cell's greatest candidate.
+    candidate. The state the rules read is the previous row of frontiers,
+    prev, and the previous row of seeds.
     - Carry: the walk starts at the previous cell's frontier. A smaller N10
       is rejected, since the 01->00 move takes (N11, N10, N01) to
       (N11, N10, N01 - 1), rejected in the previous cell. Once the carry
-      exceeds avail = n - N11 - N01, this cell and every later one of the
-      row fall back untested, since the carry only grows and avail only
-      shrinks; they are filled in one step and have no compatible range.
+      exceeds avail, this cell and every later one of the row record
+      top + 1 untested, since the carry only grows and avail only shrinks;
+      they are filled in one step and have no compatible range.
     - Reject rule (every scan): with f = prev[N01], the frontier of cell
       (N11 - 1, N01), every candidate N10 <= min(f - 2, hi) is rejected, and
       the walk jumps past them. If f was accepted, the 11->10 move takes
       such an N10 to (N11 - 1, N10 + 1, N01), a candidate below f. If f is
-      the fallback, that cell rejected all its candidates up to its
-      greatest, hi_p, and the bound is min(hi_p - 1, hi): one-sided, hi_p is
-      hi + 1 and f - 2 = n - 1 >= hi; two-sided, top does not depend on
-      N11, so hi_p is hi + 1 <= top (and f - 2 = top - 1 >= hi) or hi = top
-      (and f - 2 = top - 1 = hi_p - 1).
+      top + 1, that cell rejected all its candidates up to its greatest,
+      hi_p, and the bound is min(hi_p - 1, hi): top does not depend on N11,
+      so hi_p is hi + 1 <= top (and f - 2 = top - 1 >= hi) or hi = top (and
+      f - 2 = top - 1 = hi_p - 1).
     - Accept rule (every scan): with f' the seed of cell (N11 - 1, N01 + 1),
       every candidate N10 >= f' of cell (N11, N01) is accepted, since the
       01->11 move takes (N11 - 1, f', N01 + 1) to (N11, f', N01) and 00->10
       moves take that to each larger N10. The walk stops at min(f', hi + 1).
       A seed is a frontier that the decision function accepted by its
       upper tail alone (`randtest.ACCEPT_UPPER`, every one-sided accept) or
-      that this rule accepted; otherwise the seed is never = n + 1 (a
-      fallback, an accept that needed the lower tail, and the row before
-      N11 = 0), above hi + 1, so the clip alone makes it accept nothing.
+      that this rule accepted; otherwise the seed is never = n + 1 (a cell
+      that accepts nothing, an accept that needed the lower tail, and the
+      row before N11 = 0), above hi + 1, so the clip alone makes it accept
+      nothing.
       One argument serves every design. Below the estimate the upper tail
       {estimate >= tau + margin} is the one-sided tail {estimate >=
       observed}, so a seed has one-sided p >= alpha. An 01->11 or 00->10
@@ -192,6 +191,7 @@ def frontier_scan(
     floor_nt = math.floor(nobs.tau_hat * n)  # exact: Fraction floor
     n11, n10, n01, n00 = nobs.as_tuple()
     never = n + 1  # above every candidate
+    past = list(range(floor_nt + 1, floor_nt + n + 2)) if two_sided else [never] * (n + 1)  # top + 1 by N01
     rows: list[list[int]] = []
     prev = [0] * (n + 1)  # before row 0: rejects nothing
     prev_seeds = [never] * (n + 2)  # before row 0: accepts nothing
@@ -205,16 +205,13 @@ def frontier_scan(
         carry = 0
         for N01 in range(0, n - N11 + 1):
             avail = n - N11 - N01  # max N10 keeping the fourth cell non-negative
-            if carry > avail:  # this cell and every later one fall back untested
+            if carry > avail:  # this cell and every later one record top + 1 untested
                 rest = avail + 1
-                row += range(N01 + floor_nt + 1, N01 + floor_nt + 1 + rest) if two_sided else [never] * rest
+                row += past[N01 : N01 + rest]
                 seeds += [never] * rest
                 break
-            if two_sided:
-                top = N01 + floor_nt  # greatest N10 with effect <= the estimate
-                hi = top if top < avail else avail
-            else:
-                hi = avail
+            top = past[N01] - 1
+            hi = top if top < avail else avail
             N10 = carry
             lim = prev[N01] - 2
             if lim > hi:
@@ -239,7 +236,7 @@ def frontier_scan(
                     settled += 1
                     seed = N10
                 else:
-                    N10 = top + 1 if two_sided else never
+                    N10 = top + 1
             row.append(N10)
             seeds.append(seed)
             carry = N10 if N10 > 0 else 0

@@ -16,10 +16,10 @@ from exactci.cli import (
     EXIT_SCALE,
     EXIT_VALIDATION,
     main,
-    parse_alpha,
     parse_table,
     result_to_dict,
 )
+from exactci.hypergeom import _check_alpha
 
 
 def result_from_dict(d: dict) -> MethodResult:
@@ -39,23 +39,31 @@ def runner():
 
 class TestParsing:
     def test_alpha_decimal_is_exact(self):
-        assert parse_alpha("0.05") == Fraction(1, 20)
-        assert parse_alpha("0.1") == Fraction(1, 10)
+        assert _check_alpha("0.05") == Fraction(1, 20)
+        assert _check_alpha("0.1") == Fraction(1, 10)
 
     def test_alpha_fraction(self):
-        assert parse_alpha("1/20") == Fraction(1, 20)
+        assert _check_alpha("1/20") == Fraction(1, 20)
 
     def test_alpha_out_of_range(self):
         # the library's one alpha rule
         with pytest.raises(InvalidLevel):
-            parse_alpha("1")
+            _check_alpha("1")
         with pytest.raises(InvalidLevel):
-            parse_alpha("0")
+            _check_alpha("0")
 
     def test_table(self):
         assert parse_table("1, 1, 1, 13") == ObservedTable(1, 1, 1, 13)
         with pytest.raises(ValueError):
             parse_table("1,2,3")
+
+    @pytest.mark.parametrize("count", ["1_0", "+1", "\u0661", "\uff11", "", "-1", "1.0"])
+    def test_count_is_ascii_decimal_digits(self, runner, count):
+        with pytest.raises(ValueError, match="decimal digits"):
+            parse_table(f"{count},1,1,13")
+        res = runner.invoke(main, ["compute", "--table", f"{count},1,1,13", "--method", "bonferroni"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stderr == f"error: a count must be written in decimal digits, got {count!r}\n"
 
 
 class TestSerialization:
@@ -218,6 +226,9 @@ class TestBatch:
         "8,4,5,7,0.05": "unknown method ''",
         "8,4,5,7,0.05,": "unknown method ''",
         "8,4,5,7,0.05,sideways": "unknown method 'sideways'",
+        "1_0,1,1,13,0.05,bonferroni": "a count must be written in decimal digits, got '1_0'",
+        "8,+4,5,7,0.05,two-sided": "a count must be written in decimal digits, got '+4'",
+        "8,4,\u0665,7,0.05,two-sided": "a count must be written in decimal digits, got '\u0665'",
     }
 
     @pytest.mark.parametrize(

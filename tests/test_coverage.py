@@ -110,6 +110,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             exact_coverage_sweep(6, 0, ALPHA, lambda nobs: (-6, 6))
 
+    def test_non_int_input_is_refused(self):
+        with pytest.raises(ValueError, match="need ints"):
+            exact_coverage_sweep(6, 3.0, ALPHA, lambda nobs: (-6, 6))
+        with pytest.raises(ValueError, match="need ints"):
+            exact_coverage_sweep(6.0, 3, ALPHA, lambda nobs: (-6, 6))
+        # Fraction bounds, such as ci_tau's, name the first table that gave one
+        ci_fn = lambda nobs: ci_two_sided_frontier(nobs, ALPHA).ci_tau  # noqa: E731
+        with pytest.raises(ValueError, match=r"for ObservedTable\(n11=0, n10=3, n01=0, n00=3\)$"):
+            exact_coverage_sweep(6, 3, ALPHA, ci_fn)
+        # an int-valued bound of another type is refused too, wherever it is
+        ci_fn = lambda nobs: (-6, 6.0 if nobs.as_tuple() == (2, 1, 1, 2) else 6)  # noqa: E731
+        with pytest.raises(ValueError, match=r"got \(-6, 6.0\) for ObservedTable\(n11=2, n10=1, n01=1, n00=2\)$"):
+            exact_coverage_sweep(6, 3, ALPHA, ci_fn)
+
     def test_float_alpha_read_by_its_decimal_form(self):
         report = exact_coverage_sweep(4, 2, 0.05, lambda nobs: (-4, 4))
         assert report.alpha == Fraction(1, 20)

@@ -229,6 +229,13 @@ class TestCiCount:
         with pytest.raises(ValueError):
             ci_count(10, 5, 6, Fraction(1, 20))
 
+    def test_counts_must_be_ints(self):
+        # a float or bool count is refused even when its int twin is cached
+        assert ci_count(10, 5, 3, Fraction(1, 20)) == (3, 8)
+        for args in ((10.0, 5, 3), (10, 5.0, 3), (10, 5, 3.0), (10, 5, True), (10, True, 1)):
+            with pytest.raises(ValueError, match="need ints"):
+                ci_count(*args, Fraction(1, 20))
+
 
 
 class TestCheckAlpha:

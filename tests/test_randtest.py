@@ -31,7 +31,7 @@ from exactci import (
 )
 from exactci import hypergeom, methods, randtest
 from exactci.randtest import null_dist
-from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, _comb_row, max_exact_n
+from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, _comb_row, _guard
 
 from conftest import SIX_TABLES, count_calls, observed_tables, potential_tables
 from oracle import cell_decompositions, enumerate_assignments, units_from_table
@@ -171,7 +171,7 @@ class TestExactPValues:
         for raw in ("abc", "-1", "2.5"):
             monkeypatch.setenv(SCALE_GUARD_ENV, raw)
             with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
-                max_exact_n()
+                _guard(1)
 
 
 class TestDecisionPaths:
