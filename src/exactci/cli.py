@@ -250,7 +250,7 @@ def coverage(n, m, alpha_str, method) -> None:
     level = 1 - alpha
     violators = report.violators(level)
     click.echo(f"design: n={n}, m={m}, alpha={alpha}, method={method}")
-    click.echo(f"tables: {len(report.per_table)}")
+    click.echo(f"tables: {len(report.coverages)}")
     click.echo(f"min coverage:  {report.min_coverage} ({float(report.min_coverage):.6f})")
     click.echo(f"mean coverage: {float(report.mean_coverage):.6f}")
     if violators:

@@ -52,8 +52,16 @@ and resets it after, even if a call raises. A potential table is tested
 against many observed tables of one design, and for a fixed table the
 decision is a step function of the observed statistic, so four thresholds
 per table decide most repeats without a tail sum (see `randtest._held`).
-The store holds 4*(n + 1)**3 slots per (n, m, level, statistic) group,
-13,500 at n = 14, and nothing outlives the sweep.
+The store holds 4*C(n + 3, 3) slots per (n, m, level, statistic) group,
+one per list and true table (2,720 at n = 14), and nothing outlives the
+sweep.
+
+A report holds no table. Its coverages are one tuple in `_true_tables(n)`
+order: for m <= n/2 the tuple `_weigh` returns and caches, shared by every
+report of the same intervals, and for m > n/2 one relabeled copy. With
+warm caches a held report of (14, 5) adds about 240 bytes and one of
+(14, 9) about 5.6 KB; `CoverageReport.per_table` builds the (table,
+coverage) pairs on each read.
 """
 
 from __future__ import annotations
@@ -84,21 +92,34 @@ RunsAtT = list[tuple[int, list[tuple[int, int]]]]
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """Exact coverage of one method at one design (n, m) and level alpha.
+
+    coverages[i] is the coverage of `_true_tables(n)[i]`, the (N11, N10, N01)
+    order. The report holds no tables: for m <= n/2 coverages is the very
+    tuple the weighing cache holds, shared by every report with the same
+    intervals, and for m > n/2 one relabeled copy of it.
+    """
+
     n: int
     m: int
     alpha: Fraction
-    per_table: tuple[tuple[PotentialTable, Fraction], ...]
+    coverages: tuple[Fraction, ...]
+
+    @property
+    def per_table(self) -> tuple[tuple[PotentialTable, Fraction], ...]:
+        """(true table, coverage) pairs, built on each read from the shared tables."""
+        return tuple(zip(_true_tables(self.n), self.coverages))
 
     @property
     def min_coverage(self) -> Fraction:
-        return min(c for _, c in self.per_table)
+        return min(self.coverages)
 
     @property
     def mean_coverage(self) -> Fraction:
-        return sum(c for _, c in self.per_table) / len(self.per_table)
+        return sum(self.coverages) / len(self.coverages)
 
     def violators(self, level: Fraction) -> list[tuple[PotentialTable, Fraction]]:
-        return [(N, c) for N, c in self.per_table if c < level]
+        return [(N, c) for N, c in zip(_true_tables(self.n), self.coverages) if c < level]
 
 
 def _intervals(n: int, m: int, ci_fn: CIFn) -> Intervals:
@@ -274,11 +295,12 @@ def exact_coverage_sweep(
     thresholds held for this call only; the intervals are those ci_fn gives
     outside a sweep.
 
-    per_table is in (N11, N10, N01) order; its `PotentialTable` objects are
-    shared with every other report of size n. alpha is read as every method
-    reads it, a float by its shortest decimal form (0.05 is 1/20); a level
-    outside (0, 1) raises `InvalidLevel` before ci_fn is called. n, m and
-    every clipped bound ci_fn gives must be ints, or `ValueError` is raised.
+    The report's coverages are in `_true_tables(n)` order, (N11, N10,
+    N01); for m <= n/2 they are the cached tuple itself, not a copy. alpha
+    is read as every method reads it, a float by its shortest decimal form
+    (0.05 is 1/20); a level outside (0, 1) raises `InvalidLevel` before
+    ci_fn is called. n, m and every clipped bound ci_fn gives must be ints,
+    or `ValueError` is raised.
     """
     if n > MAX_COVERAGE_N:
         raise ScaleGuard(f"exact coverage sweep limited to n <= {MAX_COVERAGE_N}, got {n}")
@@ -301,5 +323,5 @@ def exact_coverage_sweep(
         w = n - m + 1
         reverse = intervals[::-1]
         frame = _weigh(n, n - m, tuple(x for a in range(w) for x in reverse[a::w]))
-        coverages = map(frame.__getitem__, _relabelings(n)[1])
-    return CoverageReport(n, m, alpha, tuple(zip(_true_tables(n), coverages)))
+        coverages = tuple(map(frame.__getitem__, _relabelings(n)[1]))
+    return CoverageReport(n, m, alpha, coverages)

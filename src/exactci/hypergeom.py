@@ -128,11 +128,16 @@ def _check_alpha(alpha: Fraction | float) -> Fraction:
     literal: 0.1 is 1/10, not the binary value 0.1000000000000000055...
     A valid `Fraction` is returned as it is, without a new one. A string
     that `Fraction` cannot read, such as '1/0' or 'abc', is an
-    `InvalidLevel` too.
+    `InvalidLevel` too, and so is one that `Fraction` reads but a count
+    would not be written in: not ASCII, or holding '_' or '+', as '1/2_0'
+    and '+0.05'. A leading '-' gives a negative level, refused as out of
+    range, and an exponent's '-' is how `str` writes a small float (1e-05).
     """
     if type(alpha) is Fraction and 0 < alpha.numerator < alpha.denominator:
         return alpha
     try:
+        if isinstance(alpha, str) and not (alpha.isascii() and "_" not in alpha and "+" not in alpha):
+            raise ValueError
         alpha = Fraction(str(alpha)) if isinstance(alpha, float) else Fraction(alpha)
     except (ValueError, ZeroDivisionError):
         raise InvalidLevel(f"alpha must be a decimal or a fraction in (0, 1), got {alpha!r}") from None

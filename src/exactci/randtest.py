@@ -28,8 +28,8 @@ sets `_sweep_thresholds` to a fresh store, and `acceptor` wraps its decision
 function in `_held`: for a fixed table the decision is a step function of
 the observed statistic, so four exact thresholds per table answer the
 queries they place without a sum, and the store dies with its sweep. It
-holds 4*(n + 1)**3 slots per (n, m, need, statistic) group: 13,500 at
-n = 14, 275,684 at n = 40.
+holds 4*C(n + 3, 3) slots per (n, m, need, statistic) group, one per list
+and size-n table: 2,720 at n = 14, 49,364 at n = 40.
 
 Every test is weighed one way, by a direct tail sum of O(n^2) lookups
 (`_tail_weight`). The scaled statistic is A*s + B*u + C, with s = x11 + x10,
@@ -317,9 +317,24 @@ def acceptor(
         return accepts
     key = (n, m, need, statistic)
     if key not in store:
-        slots, big = (n + 1) ** 3, n**3  # |obs| <= n*m*(n - m) < n**3
+        slots, big = comb(n + 3, 3), n**3  # one per size-n table; |obs| <= n*m*(n - m) < n**3
         store[key] = ([-big] * slots, [big] * slots, [-big] * slots, [big] * slots)
     return _held(accepts, store[key], n, mm, obs, two_sided)
+
+
+@lru_cache(maxsize=4)
+def _row_starts(n: int) -> tuple[int, ...]:
+    """starts[N11*(n + 1) + N10]: rank of the size-n table (N11, N10, 0, N00) in (N11, N10, N01) order.
+
+    (N11, N10, N01, N00) then has rank starts[N11*(n + 1) + N10] + N01, and
+    the ranks run over 0..C(n + 3, 3) - 1, one per table.
+    """
+    starts, rank = [0] * (n + 1) ** 2, 0
+    for N11 in range(n + 1):
+        for N10 in range(n + 1 - N11):
+            starts[N11 * (n + 1) + N10] = rank
+            rank += n + 1 - N11 - N10  # N01 = 0..n - N11 - N10
+    return tuple(starts)
 
 
 def _held(
@@ -336,24 +351,24 @@ def _held(
     grows, and so, once obs is above tau, does the two-sided tail. So the
     table's decision is a step function of obs: ACCEPT_UPPER up to some c1,
     then ACCEPT up to some c2 >= c1, then REJECT. group holds four flat
-    lists, indexed by (N11*(n + 1) + N10)*(n + 1) + N01: the greatest obs
-    decided ACCEPT_UPPER, the least obs not ACCEPT_UPPER, the greatest obs
-    accepted and the least obs REJECTed, each a sentinel outside every obs
-    until a sum sets it. A query they place is answered without a sum, and
-    only a sum's decision updates them, so every answer is exact. A
-    one-sided test is never ACCEPT, so its greatest accepted obs stays the
-    sentinel. A two-sided test holds only tables with tau below the
+    lists of C(n + 3, 3) slots, indexed by the table's rank in (N11, N10,
+    N01) order (`_row_starts`): the greatest obs decided ACCEPT_UPPER, the
+    least obs not ACCEPT_UPPER, the greatest obs accepted and the least obs
+    REJECTed, each a sentinel outside every obs until a sum sets it. A
+    query they place is answered without a sum, and only a sum's decision
+    updates them, so every answer is exact. A one-sided test is never
+    ACCEPT, so its greatest accepted obs stays the sentinel. A two-sided test holds only tables with tau below the
     estimate: at tau equal to it the margin is 0 and the test is ACCEPT
     without a sum, and above it the margin grows as obs falls, so the steps
     run the other way.
     """
     upper_hi, upper_lo, accept_hi, reject_lo = group
-    n1 = n + 1
+    n1, starts = n + 1, _row_starts(n)
 
     def held(N11: int, N10: int, N01: int, N00: int) -> int:
         if two_sided and mm * (N10 - N01) >= obs:
             return accepts(N11, N10, N01, N00)  # tau at or above the estimate: not held
-        i = (N11 * n1 + N10) * n1 + N01
+        i = starts[N11 * n1 + N10] + N01
         if obs <= upper_hi[i]:
             return ACCEPT_UPPER
         if obs >= reject_lo[i]:

@@ -247,7 +247,7 @@ def coverage_by_splits(
     """
     cache: dict[tuple[int, int, int, int], tuple[int, int]] = {}
     cn = math.comb(n, m)
-    rows = []
+    coverages = []
     for N in _iter_potential_tables(n):
         covered = 0
         for x11, x10, x01, x00, w in _iter_splits(N, m):
@@ -259,8 +259,8 @@ def coverage_by_splits(
                 cache[key] = ci
             if ci[0] <= N.ntau <= ci[1]:
                 covered += w
-        rows.append((N, Fraction(covered, cn)))
-    return CoverageReport(n, m, Fraction(alpha), tuple(rows))
+        coverages.append(Fraction(covered, cn))
+    return CoverageReport(n, m, Fraction(alpha), tuple(coverages))
 
 
 def at_most_rows(N01: int, N00: int, m: int, n: int) -> list[list[int]]:

@@ -65,6 +65,14 @@ class TestParsing:
         assert res.exit_code == EXIT_VALIDATION
         assert res.stderr == f"error: a count must be written in decimal digits, got {count!r}\n"
 
+    @pytest.mark.parametrize("alpha", ["1/2_0", "+0.05", "\u0660.05", "\uff11/20"])
+    def test_alpha_is_written_as_counts_are(self, runner, alpha):
+        # Fraction reads each of these as 1/20
+        res = runner.invoke(main, ["compute", "--table", "1,1,1,13", "--alpha", alpha, "--method", "bonferroni"])
+        assert res.exit_code == EXIT_VALIDATION
+        assert res.stdout == ""
+        assert res.stderr == f"error: alpha must be a decimal or a fraction in (0, 1), got {alpha!r}\n"
+
 
 class TestSerialization:
     def test_json_roundtrip(self):
@@ -222,6 +230,7 @@ class TestBatch:
         "8,4,5,7,1/0,two-sided": "alpha must be a decimal or a fraction in (0, 1), got '1/0'",
         "8,4,5,7,abc,two-sided": "alpha must be a decimal or a fraction in (0, 1), got 'abc'",
         "8,4,5,7,0,two-sided": "alpha must be in (0, 1), got 0",
+        "8,4,5,7,+0.05,two-sided": "alpha must be a decimal or a fraction in (0, 1), got '+0.05'",
         "8,4,5,7": "alpha must be a decimal or a fraction in (0, 1), got ''",
         "8,4,5,7,0.05": "unknown method ''",
         "8,4,5,7,0.05,": "unknown method ''",

@@ -1,7 +1,9 @@
 """Exact coverage sweeps over every potential table of a design."""
 
+import gc
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -289,6 +291,48 @@ class TestMirrorShortcut:
         assert tables == sorted(tables)
 
 
+def held_bytes_per_report(n: int, m: int, method: str, count: int = 20) -> float:
+    """Bytes that each of count held reports of one warm sweep adds, by tracemalloc."""
+    ci_fn = method_ci_fn(method, ALPHA)
+    exact_coverage_sweep(n, m, ALPHA, ci_fn)  # warm every cache the sweep reads
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [exact_coverage_sweep(n, m, ALPHA, ci_fn) for _ in range(count)]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / len(reports)
+
+
+class TestReportLayout:
+    """A report holds one coverage tuple in `_true_tables(n)` order, and no table."""
+
+    def test_equal_clipped_intervals_share_one_tuple(self):
+        # the two sweeps' intervals differ only beyond [-n, n]; m <= n/2
+        # reports hold the weighing cache's own tuple
+        for m in (3, 4):
+            a = exact_coverage_sweep(8, m, ALPHA, lambda nobs: (-99, 3))
+            b = exact_coverage_sweep(8, m, Fraction(1, 10), lambda nobs: (-8, 3))
+            assert a.coverages is b.coverages, m
+            assert a != b  # each keeps its own alpha
+
+    @pytest.mark.parametrize("n, m", ((7, 2), (8, 4), (8, 5), (9, 7)))
+    def test_per_table_pairs_the_true_tables_with_coverages(self, n, m):
+        report = exact_coverage_sweep(n, m, ALPHA, method_ci_fn("one_sided_lower", ALPHA))
+        assert type(report.coverages) is tuple and len(report.coverages) == comb(n + 3, 3)
+        assert report.per_table == tuple(zip(coverage._true_tables(n), report.coverages))
+        assert report.violators(Fraction(1)) == [pair for pair in report.per_table if pair[1] < 1]
+
+    @pytest.mark.parametrize("m, limit", ((5, 1024), (9, 8192)))
+    def test_held_reports_are_small(self, m, limit):
+        # a report holds no table; for m > n/2 it holds one relabeled tuple
+        # of 680 coverages, 5.5 KB, and for m <= n/2 the cache's own tuple
+        assert held_bytes_per_report(14, m, "bonferroni") < limit
+
+
 def clipped(n: int, interval: tuple[int, int]) -> tuple[int, int] | None:
     """interval clipped to [-n, n], or None if that leaves it empty."""
     lo, hi = max(interval[0], -n), min(interval[1], n)
@@ -511,6 +555,24 @@ class TestSweepScope:
         with pytest.raises(RuntimeError, match="ci_fn failed"):
             exact_coverage_sweep(9, 5, ALPHA, failing)
         assert plain_acceptor()
+
+    @pytest.mark.parametrize("n, m", ((11, 4), (10, 7), (14, 7)))
+    def test_every_group_has_one_slot_per_table(self, n, m):
+        # two levels and both statistics: four (n, m, level, statistic) groups
+        groups = {}
+
+        def ci_fn(nobs):
+            for method in ("two_sided_frontier", "one_sided_lower"):
+                for alpha in (ALPHA, Fraction(1, 10)):
+                    compute_ci(method, nobs, alpha)
+            groups.update(randtest._sweep_thresholds.get())
+            return (-n, n)
+
+        methods._scan_summary.cache_clear()
+        exact_coverage_sweep(n, m, ALPHA, ci_fn)
+        assert len(groups) == 4
+        for key, group in groups.items():
+            assert [len(slots) for slots in group] == [comb(n + 3, 3)] * 4, key
 
     @pytest.mark.parametrize("method", ("two_sided_frontier", "one_sided_lower", "one_sided_upper", "brute_force"))
     @pytest.mark.parametrize("n, m", ((11, 4), (10, 7)))

@@ -8,6 +8,7 @@ upper ends mirrored as the package mirrors them (`equal_tail_tables`), and
 both tables are compared with the two-array reference in `oracle`.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -254,6 +255,17 @@ class TestCheckAlpha:
         for alpha, shown in ((1.5, "3/2"), (0, "0"), (1, "1"), ("-0.5", "-1/2")):
             with pytest.raises(InvalidLevel, match=rf"^alpha must be in \(0, 1\), got {shown}$"):
                 _check_alpha(alpha)
+
+    def test_strings_are_written_as_counts_are(self):
+        # Fraction reads each of these as 1/20; a count may hold none of
+        # '_', a sign or other scripts' digits, and a level may not either
+        for text in ("1/2_0", "+0.05", "\u0660.05", "\uff11/20"):
+            assert Fraction(text) == Fraction(1, 20)
+            with pytest.raises(InvalidLevel, match=rf"^alpha must be a decimal or a fraction in \(0, 1\), got {re.escape(repr(text))}$"):
+                _check_alpha(text)
+        for text in ("0.05", " 0.05 ", "1/20", " 1/20\n", "0.1"):
+            assert _check_alpha(text) == Fraction(1, 10 if text == "0.1" else 20), text
+        assert _check_alpha(1e-05) == _check_alpha("1e-05") == Fraction(1, 100_000)
 
     def test_unreadable_strings_name_alpha(self):
         # Fraction's own ZeroDivisionError and ValueError do not reach the caller

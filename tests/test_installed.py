@@ -13,6 +13,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -71,6 +72,10 @@ COVERAGE_PINS = [
     # mirror pair is weighed; one-sided-lower intervals are not
     (13, 4, "margin-inversion", "140/143", "0.999481"),
     (13, 4, "one-sided-lower", "136/143", "0.993437"),
+    # m > n/2: each report holds one relabeled copy of its conjugate frame's coverages
+    (14, 9, "bonferroni", "978/1001", "0.997567"),
+    (13, 9, "margin-inversion", "140/143", "0.998197"),
+    (14, 10, "one-sided-lower", "956/1001", "0.994522"),
 ]
 
 #: one design (24, 12), a new (level, statistic) pair at each row
@@ -95,6 +100,7 @@ def test_coverage_sweep_least_and_mean(n, m, method, least, mean):
     res = run("coverage", "--n", str(n), "--m", str(m), "--alpha", "0.05", "--method", method)
     assert res.returncode == 0, res.stderr  # 5 would mean a table covered below 19/20
     lines = res.stdout.splitlines()
+    assert lines[1] == f"tables: {comb(n + 3, 3)}", lines  # 680 at n = 14, 560 at n = 13
     assert lines[2].startswith(f"min coverage:  {least} ("), lines
     assert lines[3] == f"mean coverage: {mean}", lines
 
