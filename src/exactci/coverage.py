@@ -20,10 +20,13 @@ Vandermonde's identity they weigh C(N11 + N10, n11) * C(N01 + N00, r2), one
 product. Otherwise, with (x11, x10) fixed, n01 is affine in x01, so a run is
 one x01 range, and its weight is one difference of prefix sums of
 C(N01, x01) * C(N00, r2 - x01) over x01. Those prefix sums are the rows of
-`hypergeom._at_most`, which the randomization tests read too; they depend
-only on (N01, N00, r2), so they are built once for all the true tables,
-tests and designs that share them while the cache stays under its byte
-budget, and only such partial (true table, n11) pairs read them. A true
+`hypergeom._at_most`, which the randomization tests read too. Both read a
+row with the smaller count first: for N01 > N00 the differences are read
+reversed off the row `_at_most(N00, N01, r2)`, since x01 > j exactly when
+x00 <= r2 - j - 1. The rows depend only on {N01, N00} and r2,
+so each is built once for all the true tables, tests and designs that share
+it while the cache stays under its byte budget, and only such partial
+(true table, n11) pairs read them. A true
 table thus costs at most O(n^2 * runs) lookups instead of O(n^3) splits.
 No monotonicity of the method is assumed: where coverage is not contiguous
 in n01, there are simply more runs.
@@ -201,7 +204,9 @@ def _covered_weight(N: PotentialTable, m: int, runs_at_t: RunsAtT) -> int:
     the whole n01 support adds C(N11 + N10, n11) * C(N01 + N00, m - n11), the
     weight of all its splits by Vandermonde's identity; otherwise every run
     adds one difference of prefix sums for each number of type-11 units left
-    in control, read from the row `_at_most(N01, N00, m - n11)`.
+    in control, read from the row `_at_most(N01, N00, m - n11)`, or, when
+    N01 > N00, from `_at_most(N00, N01, m - n11)` reversed, with the
+    difference taken the other way.
     """
     N11, N10, N01, N00 = N.as_tuple()
     n = N.n
@@ -229,15 +234,24 @@ def _covered_weight(N: PotentialTable, m: int, runs_at_t: RunsAtT) -> int:
             k = y_hi - y_lo + 1  # number of y values
             # C(N11, x11) * C(N10, x10) for y = y_lo..y_hi
             w = list(map(mul, _comb_row(N11)[y_lo : y_hi + 1], _comb_row(N10)[n11 - N11 + y_lo :]))
-            # at_most[j + n - m + 1]: draws of r2 with x01 <= j, for every
-            # j in [-(n - m + 1), n]
-            row = _at_most(N01, N00, r2)
-            at_most = [*[0] * (n - m + 1), *row, *row[-1:] * (n + 1 - len(row))]
             base = offset + y_lo
-            for start, stop in runs:
-                i, j = base - start, base - stop
-                in_run = map(sub, at_most[i : i + k], at_most[j : j + k])
-                covered += sum(map(mul, w, in_run))
+            if N01 <= N00:
+                # sums[j + n - m + 1]: draws of r2 with x01 <= j, for every
+                # j in [-(n - m + 1), n]
+                row = _at_most(N01, N00, r2)
+                sums = [*[0] * (n - m + 1), *row, *row[-1:] * (n + 1 - len(row))]
+                for start, stop in runs:
+                    i, j = base - start, base - stop
+                    covered += sum(map(mul, w, map(sub, sums[i : i + k], sums[j : j + k])))
+            else:
+                # sums[j + n - m + 1]: draws of r2 with x01 > j, that is
+                # x00 <= r2 - j - 1, the smaller count's row reversed; these
+                # fall as j rises, so a run's difference is taken the other way
+                row = _at_most(N00, N01, r2)
+                sums = [*row[-1:] * (r2 + n - m + 1 - len(row)), *reversed(row), *[0] * (n + 1 - r2)]
+                for start, stop in runs:
+                    i, j = base - start, base - stop
+                    covered += sum(map(mul, w, map(sub, sums[j : j + k], sums[i : i + k])))
     return covered
 
 
@@ -302,9 +316,10 @@ def exact_coverage_sweep(
     ci_fn is called. n, m and every clipped bound ci_fn gives must be ints,
     or `ValueError` is raised.
     """
-    if n > MAX_COVERAGE_N:
+    ints = type(n) is type(m) is int  # checked first: '20' > 14 raises TypeError, and 20.0 is no int
+    if ints and n > MAX_COVERAGE_N:
         raise ScaleGuard(f"exact coverage sweep limited to n <= {MAX_COVERAGE_N}, got {n}")
-    if not (type(n) is type(m) is int and 1 <= m <= n - 1):
+    if not (ints and 1 <= m <= n - 1):
         raise ValueError(f"need ints 1 <= m <= n-1, got {n=}, {m=}")
     alpha = _check_alpha(alpha)
     token = randtest._sweep_thresholds.set({})

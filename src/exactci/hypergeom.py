@@ -20,11 +20,13 @@ of the six example tables exactly.
 
 `_comb_row` holds the binomial coefficients that this module, `randtest` and
 `coverage` read, and `_at_most` the prefix rows that `randtest` and
-`coverage` share. The rows depend on three counts, not on a design, so
-`_at_most` keeps every row it builds until an upper estimate of the bytes
-they hold would pass `_ROW_BUDGET`, 83 MB, and then starts over empty: a
-process below that budget builds each row once, whatever designs it
-computes. `_guard`, the size guard of every exact computation, alone reads
+`coverage` share. Both read each row in one orientation, the smaller count
+first: the swapped row holds the same numbers from the other end, so the
+cache never holds a row twice. The rows depend on three counts, not on a
+design, so `_at_most` keeps every row it builds until an upper estimate of
+the bytes they hold would pass `_ROW_BUDGET`, 83 MB, and then starts over
+empty: a process below that budget builds each row once, whatever designs
+it computes. `_guard`, the size guard of every exact computation, alone reads
 its limit: `ci_count` checks it before building endpoint tables, and
 `randtest` and the methods before any randomization test.
 """
@@ -48,9 +50,12 @@ SCALE_GUARD_ENV = "EXACTCI_MAX_EXACT_N"
 
 
 def _guard(n: int) -> None:
-    """Refuse an exact computation of size n above the limit, `SCALE_GUARD_ENV` or else 300."""
+    """Refuse an exact computation of size n above the limit, `SCALE_GUARD_ENV` or else 300.
+
+    The variable must be written in ASCII digits, as counts and alpha are.
+    """
     raw = os.environ.get(SCALE_GUARD_ENV)
-    if raw is not None and not raw.strip().isdecimal():
+    if raw is not None and not (raw.isascii() and raw.strip().isdecimal()):
         raise ValueError(f"{SCALE_GUARD_ENV} must be a non-negative integer, got {raw!r}")
     cap = 300 if raw is None else int(raw)
     if n > cap:
@@ -88,6 +93,13 @@ def _at_most(N01: int, N00: int, r2: int) -> tuple[int, ...]:
     The prefix sums over x01 of C(N01, x01) * C(N00, r2 - x01) for
     j = 0..min(N01, r2); the last entry is C(N01 + N00, r2) when
     r2 <= N01 + N00. Entries below r2 - N00 are zero.
+
+    Package callers pass the smaller count first, N01 <= N00, so a held row
+    has at most floor(n/2) + 1 entries for n = N01 + N00. The other
+    orientation needs no row of its own: with x01 + x00 = r2, at least j of
+    the N01 units is at most r2 - j of the N00, so
+    #(x01 >= j) = _at_most(N00, N01, r2)[r2 - j], and
+    #(x01 <= j) = C(N01 + N00, r2) - _at_most(N00, N01, r2)[r2 - j - 1].
 
     The cache is bounded by bytes, not rows, and a hit runs no Python code.
     Each build adds its `_row_bytes` to `_held_bytes`; a row that would take

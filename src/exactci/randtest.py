@@ -41,8 +41,10 @@ u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
 - Slices: with s fixed, r2 = m - s = x01 + x00 and the statistic increases
   with u, so in each row x11 the upper tail is one x01 range. A range that
   spans its row weighs C(N01 + N00, r2); a part of a row is one lookup in
-  the row of prefix sums of C(N01, x01) * C(N00, r2 - x01) over x01,
-  `hypergeom._at_most(N01, N00, r2)`.
+  a row of prefix sums, read with the smaller count first: for N01 <= N00,
+  C(N01 + N00, r2) minus an entry of `hypergeom._at_most(N01, N00, r2)`,
+  the sums of C(N01, x01) * C(N00, r2 - x01) over x01; otherwise an entry
+  of `_at_most(N00, N01, r2)`, since x01 >= j exactly when x00 <= r2 - j.
 - Walks: a step from r2 to r2 + 1 lowers s by one and raises the slice's
   greatest u by at most one, so it changes the slice's greatest statistic
   by at most B - A <= 0. The upper tail is a prefix of the slices, so the
@@ -56,14 +58,15 @@ u = x11 + x01, A = n*(n - m), B = n*m and C = -n*m*(N11 + N01).
   decides the test, and which tail reached need, as the full sums would,
   since the weight only grows. The public p-values pass no stop.
 
-The prefix rows depend only on (N01, N00, r2) of the table or its mirror,
-so the neighbouring tables of a frontier scan, the CIs of one process over
-many designs and the weighing of a coverage sweep share them. `_at_most` is
-an `lru_cache` bounded by an upper estimate of its bytes, 83 MB, not by a
-row count, so a process below that builds each row once. A row holds
-min(N01, r2) + 1 integers below 2**n; at the default size guard, n = 300,
-the largest row is estimated at about 11 KB, so the budget holds at least
-7,400 rows.
+The prefix rows depend only on the unordered pair {N01, N00} and r2 of the
+table or its mirror, so the neighbouring tables of a frontier scan, the CIs
+of one process over many designs and the weighing of a coverage sweep share
+them. `_at_most` is an `lru_cache` bounded by an upper estimate of its
+bytes, 83 MB, not by a row count, so a process below that builds each row
+once. A row holds
+min(N01, N00, r2) + 1 integers below 2**n, at most 151 at the default size
+guard, n = 300; the largest row is estimated at about 11 KB, so the budget
+holds at least 7,400 rows.
 
 `null_dist` is the definitional reference. It reads the whole null
 distribution off `_scaled_atoms`, which enumerates every split once (O(n^3)
@@ -174,8 +177,12 @@ def _tail_weight(
     A slice fixes r2 = m - s. Within it the statistic is base + B*u, so in
     each row x11 the upper tail is one range of the slice's other treated
     count. A range is the whole row, of weight C(N01 + N00, r2), or a part,
-    read off the prefix row `_at_most(N01, N00, r2)`, and where every row of
-    a slice is whole, Vandermonde's identity sums them at once. Going from
+    x01 >= k - x11, read off one prefix row with the smaller count first:
+    C(N01 + N00, r2) minus `_at_most(N01, N00, r2)[k - x11 - 1]` when
+    N01 <= N00, else `_at_most(N00, N01, r2)[r2 - k + x11]`, the draws with
+    x00 <= r2 - k + x11. Both indices lie in their rows, since a part
+    has k - hi <= x11 < k - lo. Where every row of a slice is whole,
+    Vandermonde's identity sums them at once. Going from
     r2 to r2 + 1, s falls by one and the greatest u rises by at most one, so
     a slice's greatest statistic changes by at most B - A <= 0: the upper
     tail is a prefix of the slices, and the walk goes up from the least r2
@@ -230,9 +237,15 @@ def _tail_weight(
                     whole += c11[x11] * c10[s - x11]
                 weight += whole * full
                 if a < b:
-                    row = _at_most(N01, N00, r2)
-                    for x11 in range(a, b if b <= last else last + 1):
-                        weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
+                    end = b if b <= last else last + 1
+                    if N01 <= N00:  # x01 >= k - x11: full minus the row at k - x11 - 1
+                        row = _at_most(N01, N00, r2)
+                        for x11 in range(a, end):
+                            weight += c11[x11] * c10[s - x11] * (full - row[k - x11 - 1])
+                    else:  # x00 <= r2 - k + x11: the smaller count's row, read as it is
+                        row, j = _at_most(N00, N01, r2), r2 - k
+                        for x11 in range(a, end):
+                            weight += c11[x11] * c10[s - x11] * row[j + x11]
             if stop is not None and weight >= stop:
                 return sign * weight
         if lower is None:

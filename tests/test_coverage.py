@@ -117,6 +117,12 @@ class TestSweep:
             exact_coverage_sweep(6, 3.0, ALPHA, lambda nobs: (-6, 6))
         with pytest.raises(ValueError, match="need ints"):
             exact_coverage_sweep(6.0, 3, ALPHA, lambda nobs: (-6, 6))
+        # the type is checked before the size cap, which an int n = 20 meets
+        for n, m in ((20.0, 5), ("20", 5), (None, 3)):
+            with pytest.raises(ValueError, match="need ints"):
+                exact_coverage_sweep(n, m, ALPHA, lambda nobs: (-6, 6))
+        with pytest.raises(ScaleGuard):
+            exact_coverage_sweep(20, 5, ALPHA, lambda nobs: (-20, 20))
         # Fraction bounds, such as ci_tau's, name the first table that gave one
         ci_fn = lambda nobs: ci_two_sided_frontier(nobs, ALPHA).ci_tau  # noqa: E731
         with pytest.raises(ValueError, match=r"for ObservedTable\(n11=0, n10=3, n01=0, n00=3\)$"):

@@ -262,10 +262,11 @@ class TestCountMethods:
         for fn in (ci_bonferroni, ci_margin_inversion):
             with pytest.raises(ScaleGuard, match="limit 15"):
                 fn(nobs, ALPHA)
-        monkeypatch.setenv(SCALE_GUARD_ENV, "abc")
-        for fn in (ci_bonferroni, ci_margin_inversion):
-            with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
-                fn(nobs, ALPHA)
+        for raw in ("abc", "\uff13\uff10", "\u0663\u0660"):  # 30 in full-width and Arabic-Indic digits
+            monkeypatch.setenv(SCALE_GUARD_ENV, raw)
+            for fn in (ci_bonferroni, ci_margin_inversion):
+                with pytest.raises(ValueError, match=SCALE_GUARD_ENV):
+                    fn(nobs, ALPHA)
         monkeypatch.setenv(SCALE_GUARD_ENV, "16")
         assert [fn(nobs, ALPHA) for fn in (ci_bonferroni, ci_margin_inversion)] == before
 

@@ -29,7 +29,7 @@ from exactci import (
     p_one_sided,
     p_two_sided,
 )
-from exactci import hypergeom, methods, randtest
+from exactci import coverage, hypergeom, methods, randtest
 from exactci.randtest import null_dist
 from exactci.hypergeom import SCALE_GUARD_ENV, _at_most, _comb_row, _guard
 
@@ -349,6 +349,36 @@ class TestPrefixRowBudget:
         assert info.misses == info.currsize > 0 and info.hits > 0
         assert hypergeom._held_bytes <= hypergeom._ROW_BUDGET
         _at_most.cache_clear()
+
+    def test_every_row_read_has_the_smaller_count_first(self, monkeypatch):
+        # the tail sums and the coverage weighing read each row in one
+        # orientation, (N01, N00, r2) with N01 <= N00, so the cache never
+        # holds a row and its swapped row; CIs of every frontier method and
+        # brute force with m on both sides of n/2, and sweeps of every method
+        keys = {randtest: set(), coverage: set()}
+        for module, seen in keys.items():
+            def recorder(N01, N00, r2, seen=seen):
+                seen.add((N01, N00, r2))
+                return _at_most(N01, N00, r2)
+
+            monkeypatch.setattr(module, "_at_most", recorder)
+        methods._scan_summary.cache_clear()
+        coverage._weigh.cache_clear()
+        rng = random.Random(34)
+        for n in (13, 17, 24, 31, 40):
+            for m in (n // 3, n - n // 3):
+                n11, n01 = rng.randint(0, m), rng.randint(0, n - m)
+                nobs = ObservedTable(n11, m - n11, n01, n - m - n01)
+                for method in ("two_sided_frontier", "one_sided_lower", "one_sided_upper"):
+                    compute_ci(method, nobs, Fraction(1, 20))
+                if n <= 24:
+                    compute_ci("brute_force", nobs, Fraction(1, 20))
+        alpha = Fraction(1, 10)
+        for method, m in itertools.product(methods.METHODS, (5, 7)):
+            exact_coverage_sweep(12, m, alpha, lambda nobs: compute_ci(method, nobs, alpha).ci_ntau)
+        assert all(keys.values())
+        for seen in keys.values():
+            assert all(N01 <= N00 for N01, N00, _ in seen), sorted(k for k in seen if k[0] > k[1])[:5]
 
 
 class TestTailWeight:
